@@ -63,6 +63,15 @@ fi
 # counters), and the invariance suite pins S=1 to the golden scale-40
 # fingerprint byte for byte — one shard must BE the unsharded engine.
 dune runtest
+# The runtest pass draws every QCheck property's cases from one fixed
+# default seed (test/prop.ml), so its verdict is the same on every run.
+# This pass re-runs the property-bearing suites under a fresh seed, printed
+# first, so coverage keeps growing and any failure replays exactly with
+#   QCHECK_SEED=<seed> dune exec test/test_main.exe -- test <suite>
+QCHECK_SEED=$(od -An -N4 -tu4 /dev/urandom | tr -d ' ')
+echo "property tests: QCHECK_SEED=${QCHECK_SEED}"
+QCHECK_SEED="$QCHECK_SEED" dune exec test/test_main.exe -- test \
+  '^(sim|storage|store|btree_prop|codec|query|chaos|edge)$'
 # Exhaustive crash-recovery fuzz: crash at every durable write of the
 # fixed-seed workload (the default runtest pass strides the same sweep).
 TREEBENCH_RECOVERY_FULL=1 dune exec test/test_main.exe -- test recovery

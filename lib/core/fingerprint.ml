@@ -217,6 +217,17 @@ let sharded_selection_lines ~shards ~scale () =
   sel [ `Index; `Scan ] [ 1; 10; 50; 100; 300; 600; 900 ]
   @ sel [ `Sorted ] [ 100; 300; 600; 900 ]
 
+(* The shape x organization databases behind the join figures. *)
+let join_builds =
+  [
+    (`Wide, Generator.Class_clustered);
+    (`Wide, Generator.Composition);
+    (`Wide, Generator.Randomized);
+    (`Deep, Generator.Class_clustered);
+    (`Deep, Generator.Composition);
+    (`Deep, Generator.Randomized);
+  ]
+
 (* The full workload behind fig6/fig7/fig9/fig11-fig15, in a fixed order.
    Each database is built, measured and dropped before the next one so peak
    RSS stays one simulated disk. *)
@@ -224,11 +235,37 @@ let collect ?per_op ~scale () =
   selection_lines ?per_op ~scale ()
   @ List.concat_map
       (fun (shape, org) -> join_lines ?per_op ~scale shape org)
-      [
-        (`Wide, Generator.Class_clustered);
-        (`Wide, Generator.Composition);
-        (`Wide, Generator.Randomized);
-        (`Deep, Generator.Class_clustered);
-        (`Deep, Generator.Composition);
-        (`Deep, Generator.Randomized);
-      ]
+      join_builds
+
+(* Load-time charges and durable page bytes, one line per build: the four
+   Section 3.2 loading configurations on deep/class, then the six shape x
+   organization builds of [collect].  The simulated load time is printed as
+   raw float bits and the disk as its durable digest, so a write-path change
+   that moves one charge or one byte of one page shows up here even when no
+   query-time counter notices. *)
+let load_lines ~scale () =
+  let cost = Tb_sim.Cost_model.scaled scale in
+  let one ~tag cfg =
+    let b = Generator.build ~cost cfg in
+    let db = b.Generator.db in
+    Printf.sprintf "load %s secs=%Lx pages=%d durable=%s" tag
+      (Int64.bits_of_float b.Generator.load_seconds)
+      (Database.durable_pages db)
+      (Database.durable_fingerprint db)
+  in
+  let base = Generator.config ~scale `Deep Generator.Class_clustered in
+  List.map
+    (fun (name, cfg) -> one ~tag:("loading=" ^ name ^ " deep/class") cfg)
+    [
+      ("tuned", base);
+      ("standard", { base with Generator.txn_mode = Tb_store.Transaction.Standard });
+      ("unindexed", { base with Generator.indexed_creation = false });
+      ( "default-caches",
+        { base with Generator.client_pages = base.Generator.server_pages } );
+    ]
+  @ List.map
+      (fun (shape, org) ->
+        one
+          ~tag:(Printf.sprintf "build %s/%s" (shape_name shape) (org_name org))
+          (Generator.config ~scale shape org))
+      join_builds

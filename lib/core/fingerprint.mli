@@ -30,3 +30,14 @@ val collect : ?per_op:bool -> scale:int -> unit -> string list
     pins "one shard is the unsharded engine".  At higher shard counts it
     fingerprints the partitioned physics instead. *)
 val sharded_selection_lines : shards:int -> scale:int -> unit -> string list
+
+(** [load_lines ~scale ()] builds the four Section 3.2 loading
+    configurations (tuned, standard transactions, unindexed creation,
+    default caches) on the deep shape under class clustering, then the six
+    shape x organization databases of {!collect}, and emits one line per
+    build: the simulated load time as raw IEEE-754 bits, the durable page
+    count and {!Tb_store.Database.durable_fingerprint}.  The golden file
+    [test/load_golden_scale40.txt] pins these down, so a change to how the
+    store writes may move host cost only — never a load-time charge or a
+    byte of a durable page. *)
+val load_lines : scale:int -> unit -> string list

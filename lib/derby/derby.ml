@@ -42,7 +42,22 @@ let schema =
         (patients_extent, Schema.TSet (Schema.TRef patient_cls));
       ]
 
-let pad16 n = Printf.sprintf "%016d" n
+(* [Printf.sprintf "%016d" n] by hand: a load formats four of these per
+   provider and one per patient, and the format interpreter allocates
+   several times what the 16 bytes need.  Ids are non-negative; anything
+   else (or anything wider than 16 digits) takes the formatter itself. *)
+let pad16 n =
+  if n < 0 || n > 9_999_999_999_999_999 then Printf.sprintf "%016d" n
+  else begin
+    let b = Bytes.make 16 '0' in
+    let rest = ref n and i = ref 15 in
+    while !rest > 0 do
+      Bytes.set b !i (Char.chr (48 + (!rest mod 10)));
+      rest := !rest / 10;
+      decr i
+    done;
+    Bytes.to_string b
+  end
 
 let provider_value ~upin ~clients =
   Value.Tuple

@@ -16,7 +16,8 @@ val providers_extent : string
 val patients_extent : string
 
 (** [pad16 n] is the canonical 16-character string for id [n] (all string
-    attributes are 16 characters, as in the paper). *)
+    attributes are 16 characters, as in the paper): exactly
+    [Printf.sprintf "%016d" n]. *)
 val pad16 : int -> string
 
 (** [provider_value ~upin ~clients] builds a conforming Provider.  [clients]

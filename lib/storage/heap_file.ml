@@ -45,23 +45,27 @@ let fill_limit t =
     (float_of_int cost.Tb_sim.Cost_model.page_size
     *. cost.Tb_sim.Cost_model.page_fill)
 
-let frame_normal body =
-  let b = Bytes.create (1 + Bytes.length body) in
+(* One allocation per stored body: [write b pos] produces the [len] body
+   bytes straight behind the tag byte. *)
+let frame_normal ~len write =
+  let b = Bytes.create (1 + len) in
   Bytes.set b 0 tag_normal;
-  Bytes.blit body 0 b 1 (Bytes.length body);
+  write b 1;
   b
 
 let frame_stub target =
   let b = Bytes.create (1 + Rid.on_disk_bytes) in
   Bytes.set b 0 tag_forward;
-  Bytes.blit (Rid.encode target) 0 b 1 Rid.on_disk_bytes;
+  Rid.encode_into target b ~pos:1;
   b
 
-let frame_relocated ~home body =
-  let b = Bytes.create (1 + Rid.on_disk_bytes + Bytes.length body) in
+(* The relocated framing of a normally framed body. *)
+let frame_relocated ~home framed =
+  let len = Bytes.length framed - 1 in
+  let b = Bytes.create (1 + Rid.on_disk_bytes + len) in
   Bytes.set b 0 tag_relocated;
-  Bytes.blit (Rid.encode home) 0 b 1 Rid.on_disk_bytes;
-  Bytes.blit body 0 b (1 + Rid.on_disk_bytes) (Bytes.length body);
+  Rid.encode_into home b ~pos:1;
+  Bytes.blit framed 1 b (1 + Rid.on_disk_bytes) len;
   b
 
 let body_of framed =
@@ -71,6 +75,8 @@ let body_of framed =
       let skip = 1 + Rid.on_disk_bytes in
       Bytes.sub framed skip (Bytes.length framed - skip)
   | _ -> invalid_arg "Heap_file: not a body record"
+
+let blit_body body b pos = Bytes.blit body 0 b pos (Bytes.length body)
 
 let fresh_page t =
   let index = Disk.append_page (Cache_stack.disk t.stack) ~file:t.file in
@@ -104,7 +110,8 @@ let insert_framed t framed =
   in
   Rid.make ~file:t.file ~page:index ~slot
 
-let insert t body = insert_framed t (frame_normal body)
+let insert_with t ~len write = insert_framed t (frame_normal ~len write)
+let insert t body = insert_with t ~len:(Bytes.length body) (blit_body body)
 
 let fetch_slot t (rid : Rid.t) =
   let pid = Page_id.make ~file:rid.Rid.file ~index:rid.Rid.page in
@@ -158,35 +165,64 @@ let write_for t (rid : Rid.t) =
   let pid = Page_id.make ~file:rid.Rid.file ~index:rid.Rid.page in
   Cache_stack.fetch_for_write t.stack pid
 
-(* Relocate [body] elsewhere and point [home]'s slot at it. *)
-let relocate t ~(home : Rid.t) body =
-  let fresh = insert_framed t (frame_relocated ~home body) in
+(* The write fetches every rewrite of [rid] makes, in this order: the home
+   page, then — when the home slot holds a forwarding stub — the page of the
+   relocated body.  Returns the home page, the stub's target ([Rid.nil]
+   when the body lives at home) and the page holding the body. *)
+let write_for_record t (rid : Rid.t) =
+  let page = write_for t rid in
+  let off, _ = Page_layout.record_span page rid.Rid.slot in
+  let buf = Page_layout.buffer page in
+  match Bytes.get buf off with
+  | c when c = tag_normal -> (page, Rid.nil, page)
+  | c when c = tag_forward ->
+      let target = Rid.decode buf ~pos:(off + 1) in
+      (page, target, write_for t target)
+  | _ -> invalid_arg "Heap_file.update: rid addresses a relocated body"
+
+(* Store a relocated-framed body elsewhere and point [home]'s slot at it. *)
+let relocate t ~(home : Rid.t) moved =
+  let fresh = insert_framed t moved in
   let page = write_for t home in
   if not (Page_layout.update page home.Rid.slot (frame_stub fresh)) then
     failwith "Heap_file: cannot write forwarding stub"
 
-let update t (rid : Rid.t) body =
-  let page = write_for t rid in
-  let framed_old = Page_layout.read page rid.Rid.slot in
-  match Bytes.get framed_old 0 with
-  | c when c = tag_normal ->
-      if not (Page_layout.update page rid.Rid.slot (frame_normal body)) then
-        relocate t ~home:rid body
-  | c when c = tag_forward ->
-      let target = Rid.decode framed_old ~pos:1 in
-      let tpage = write_for t target in
-      let framed = frame_relocated ~home:rid body in
-      if not (Page_layout.update tpage target.Rid.slot framed) then begin
-        Page_layout.delete tpage target.Rid.slot;
-        relocate t ~home:rid body
-      end
-  | _ -> invalid_arg "Heap_file.update: rid addresses a relocated body"
+(* The body is framed before the first write fetch, as the callers'
+   encode-then-update order always had it: [write] may read bytes located
+   on these very pages. *)
+let update_with t (rid : Rid.t) ~len write =
+  let framed = frame_normal ~len write in
+  let page, target, tpage = write_for_record t rid in
+  if Rid.is_nil target then begin
+    if not (Page_layout.update page rid.Rid.slot framed) then
+      relocate t ~home:rid (frame_relocated ~home:rid framed)
+  end
+  else begin
+    let moved = frame_relocated ~home:rid framed in
+    if not (Page_layout.update tpage target.Rid.slot moved) then begin
+      Page_layout.delete tpage target.Rid.slot;
+      relocate t ~home:rid moved
+    end
+  end
+
+let update t rid body = update_with t rid ~len:(Bytes.length body) (blit_body body)
+
+let patch t (rid : Rid.t) f =
+  let _, target, page = write_for_record t rid in
+  let slot, hop =
+    if Rid.is_nil target then (rid.Rid.slot, 1)
+    else (target.Rid.slot, 1 + Rid.on_disk_bytes)
+  in
+  let off, len = Page_layout.record_span page slot in
+  f (Page_layout.buffer page) ~pos:(off + hop) ~len:(len - hop);
+  Page_layout.record_modified page
 
 let delete t (rid : Rid.t) =
   let page = write_for t rid in
-  let framed = Page_layout.read page rid.Rid.slot in
-  if Bytes.get framed 0 = tag_forward then begin
-    let target = Rid.decode framed ~pos:1 in
+  let off, _ = Page_layout.record_span page rid.Rid.slot in
+  let buf = Page_layout.buffer page in
+  if Bytes.get buf off = tag_forward then begin
+    let target = Rid.decode buf ~pos:(off + 1) in
     let tpage = write_for t target in
     Page_layout.delete tpage target.Rid.slot
   end;

@@ -34,6 +34,12 @@ val record_count : t -> int
 (** [insert t body] appends a record, returns its Rid. *)
 val insert : t -> bytes -> Rid.t
 
+(** [insert_with t ~len write] is [insert] of a [len]-byte body that
+    [write b pos] produces in place at [pos] of the record buffer — the body
+    is written once, with no intermediate copy.  [write] must fill exactly
+    [len] bytes. *)
+val insert_with : t -> len:int -> (bytes -> int -> unit) -> Rid.t
+
 (** [read t rid] fetches the record body, following at most one forwarding
     hop. Raises [Not_found] on a dead Rid. *)
 val read : t -> Rid.t -> bytes
@@ -57,6 +63,20 @@ val with_record_bytes :
 (** [update t rid body] rewrites the record; relocates and leaves a
     forwarding stub when the body no longer fits near its page. *)
 val update : t -> Rid.t -> bytes -> unit
+
+(** [update_with t rid ~len write] is [update] of a [len]-byte body that
+    [write b pos] produces in place.  [write] runs once, before the first
+    write fetch and before any page changes, so it may copy from bytes
+    {!locate} returned for [rid]. *)
+val update_with : t -> Rid.t -> len:int -> (bytes -> int -> unit) -> unit
+
+(** [patch t rid f] edits the record's body in place: [f buf ~pos ~len]
+    sees the body span in the page buffer and may overwrite bytes inside
+    it, never its length.  The page fetches for writing are exactly those
+    of {!update} (home page, then the relocated body's page when [rid]
+    holds a forwarding stub), and the page is marked modified afterwards —
+    so a patch is an equal-length [update] without building the body. *)
+val patch : t -> Rid.t -> (bytes -> pos:int -> len:int -> unit) -> unit
 
 (** [delete t rid] removes the record (and its relocated body if any). *)
 val delete : t -> Rid.t -> unit

@@ -7,12 +7,20 @@
    Directory entry for slot i, at [size - 4*(i+1)]: offset u16, length u16.
    offset = 0 marks a dead slot (live offsets are always >= header_size). *)
 
+(* [live] and [dead] are host-side bookkeeping, never stored in the page
+   bytes: the total length of live record bodies and the number of dead
+   directory slots.  Every mutation below keeps them exact, so the insert
+   path answers "does it fit" and "which slot" without walking the
+   directory.  A page made from a durable image starts with [live = -1]
+   ("unknown") and walks its directory once, on first use. *)
 type t = {
   buf : Bytes.t;
   size : int;
   mutable dirty : bool;
   mutable version : int;
   mutable lsn : int;
+  mutable live : int;
+  mutable dead : int;
 }
 
 (* Versions are drawn from one monotonic counter shared by every page
@@ -32,7 +40,7 @@ let create ~size =
   if size < 64 || size > 65528 then invalid_arg "Page_layout.create: size";
   let buf = Bytes.make size '\000' in
   Bytes.set_uint16_le buf 2 header_size;
-  { buf; size; dirty = false; version = next_version (); lsn = 0 }
+  { buf; size; dirty = false; version = next_version (); lsn = 0; live = 0; dead = 0 }
 
 (* A working copy of a durable page image.  The LSN and checksum live in the
    disk's per-page descriptor, not in the page bytes: growing the header
@@ -45,6 +53,8 @@ let of_bytes ?(lsn = 0) image =
     dirty = false;
     version = next_version ();
     lsn;
+    live = -1;
+    dead = 0;
   }
 
 (* Full-page physical image, the WAL's before/after unit. *)
@@ -68,63 +78,86 @@ let set_slot t slot ~off ~len =
   Bytes.set_uint16_le t.buf (dir_pos t slot) off;
   Bytes.set_uint16_le t.buf (dir_pos t slot + 2) len
 
-let live_count t =
-  let n = ref 0 in
-  for slot = 0 to slot_count t - 1 do
-    if slot_offset t slot <> 0 then incr n
-  done;
-  !n
+(* Walk the directory once to seed the bookkeeping of a page made by
+   [of_bytes]; pages built through [create] are always known. *)
+let known t =
+  if t.live < 0 then begin
+    let live = ref 0 and dead = ref 0 in
+    for slot = 0 to slot_count t - 1 do
+      if slot_offset t slot <> 0 then live := !live + slot_length t slot
+      else incr dead
+    done;
+    t.live <- !live;
+    t.dead <- !dead
+  end
 
 let live_bytes t =
-  let n = ref 0 in
-  for slot = 0 to slot_count t - 1 do
-    if slot_offset t slot <> 0 then n := !n + slot_length t slot
-  done;
-  !n
+  known t;
+  t.live
 
+let dead_slots t =
+  known t;
+  t.dead
+
+let live_count t = slot_count t - dead_slots t
 let dir_start t = t.size - (dir_entry * slot_count t)
 
 (* Free space if we compacted: everything between the live bodies and the
    current directory. *)
 let free_bytes t = dir_start t - header_size - live_bytes t
 
+(* The lowest dead slot, which an insert reuses; the walk only runs when
+   the bookkeeping says there is one to find. *)
 let find_dead_slot t =
-  let n = slot_count t in
-  let rec go slot =
-    if slot >= n then None
-    else if slot_offset t slot = 0 then Some slot
-    else go (slot + 1)
-  in
-  go 0
+  if dead_slots t = 0 then None
+  else begin
+    let slot = ref 0 in
+    while slot_offset t !slot <> 0 do
+      incr slot
+    done;
+    Some !slot
+  end
 
 let fits t len =
   if len <= 0 then false
   else
-    let need =
-      match find_dead_slot t with None -> len + dir_entry | Some _ -> len
-    in
+    let need = if dead_slots t = 0 then len + dir_entry else len in
     need <= free_bytes t
 
 (* Slide all live bodies down to the front, in (current) offset order, so
-   the free region becomes contiguous again. *)
+   the free region becomes contiguous again.  Live offsets are distinct,
+   so sorting the slot indices by offset fixes the order completely. *)
 let compact t =
   let n = slot_count t in
-  let live = ref [] in
+  let order = Array.make (live_count t) 0 in
+  let k = ref 0 in
   for slot = 0 to n - 1 do
-    let off = slot_offset t slot in
-    if off <> 0 then live := (off, slot) :: !live
+    if slot_offset t slot <> 0 then begin
+      order.(!k) <- slot;
+      incr k
+    end
   done;
-  let by_offset = List.sort (fun (a, _) (b, _) -> Int.compare a b) !live in
+  (* Insertion sort: slots are nearly always already in offset order. *)
+  for i = 1 to Array.length order - 1 do
+    let slot = order.(i) in
+    let off = slot_offset t slot in
+    let j = ref (i - 1) in
+    while !j >= 0 && slot_offset t order.(!j) > off do
+      order.(!j + 1) <- order.(!j);
+      decr j
+    done;
+    order.(!j + 1) <- slot
+  done;
   let cursor = ref header_size in
-  List.iter
-    (fun (off, slot) ->
-      let len = slot_length t slot in
-      if off <> !cursor then begin
-        Bytes.blit t.buf off t.buf !cursor len;
-        set_slot t slot ~off:!cursor ~len
-      end;
-      cursor := !cursor + len)
-    by_offset;
+  for i = 0 to Array.length order - 1 do
+    let slot = order.(i) in
+    let off = slot_offset t slot and len = slot_length t slot in
+    if off <> !cursor then begin
+      Bytes.blit t.buf off t.buf !cursor len;
+      set_slot t slot ~off:!cursor ~len
+    end;
+    cursor := !cursor + len
+  done;
   set_free_off t !cursor;
   t.dirty <- true;
   t.version <- next_version ()
@@ -144,11 +177,12 @@ let insert t body =
     in
     let needed = if new_slot then len + dir_entry else len in
     if contiguous_free t < needed then compact t;
-    if new_slot then set_slot_count t (slot + 1);
+    if new_slot then set_slot_count t (slot + 1) else t.dead <- t.dead - 1;
     let off = free_off t in
     Bytes.blit body 0 t.buf off len;
     set_slot t slot ~off ~len;
     set_free_off t (off + len);
+    t.live <- t.live + len;
     t.dirty <- true;
     t.version <- next_version ();
     Some slot
@@ -182,6 +216,9 @@ let record_modified t =
 let delete t slot =
   check_slot t slot;
   if slot_offset t slot <> 0 then begin
+    known t;
+    t.live <- t.live - slot_length t slot;
+    t.dead <- t.dead + 1;
     set_slot t slot ~off:0 ~len:0;
     t.dirty <- true;
     t.version <- next_version ()
@@ -196,20 +233,27 @@ let update t slot body =
   if len <= 0 || len > t.size - header_size - dir_entry then
     invalid_arg "Page_layout.update: body size";
   if len <= old_len then begin
+    known t;
     Bytes.blit body 0 t.buf off len;
     set_slot t slot ~off ~len;
+    t.live <- t.live + len - old_len;
     t.dirty <- true;
     t.version <- next_version ();
     true
   end
   else if free_bytes t + old_len >= len then begin
-    (* Move within the page: free the old body, compact, re-append. *)
+    (* Move within the page: free the old body, compact, re-append.  The
+       slot is dead only for the duration of the compaction. *)
     set_slot t slot ~off:0 ~len:0;
+    t.live <- t.live - old_len;
+    t.dead <- t.dead + 1;
     compact t;
     let off = free_off t in
     Bytes.blit body 0 t.buf off len;
     set_slot t slot ~off ~len;
     set_free_off t (off + len);
+    t.live <- t.live + len;
+    t.dead <- t.dead - 1;
     t.dirty <- true;
     t.version <- next_version ();
     true
@@ -256,4 +300,8 @@ let check_invariants t =
     | _ -> ()
   in
   overlap sorted;
-  if live_bytes t > fo - header_size then failwith "page: live bytes exceed data region"
+  let walked_live = List.fold_left (fun acc (s, e) -> acc + e - s) 0 !spans in
+  let walked_dead = n - List.length !spans in
+  if t.live >= 0 && (t.live <> walked_live || t.dead <> walked_dead) then
+    failwith "page: kept live-byte or dead-slot count disagrees with the directory";
+  if walked_live > fo - header_size then failwith "page: live bytes exceed data region"

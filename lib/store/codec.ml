@@ -28,67 +28,65 @@ let rec encoded_size = function
   | Value.Set xs | Value.List xs ->
       List.fold_left (fun acc v -> acc + encoded_size v) 5 xs
 
-let encode v =
-  let buf = Bytes.create (encoded_size v) in
-  let rec write pos v =
-    let tag t =
-      Bytes.set_uint8 buf pos t;
+let put_tag b pos t =
+  Bytes.set_uint8 b pos t;
+  pos + 1
+
+let rec encode_into v b ~pos =
+  match v with
+  | Value.Nil -> put_tag b pos tag_nil
+  | Value.Int i ->
+      let pos = put_tag b pos tag_int in
+      Bytes.set_int32_le b pos (Int32.of_int i);
+      pos + 4
+  | Value.Real r ->
+      let pos = put_tag b pos tag_real in
+      Bytes.set_int64_le b pos (Int64.bits_of_float r);
+      pos + 8
+  | Value.Bool x ->
+      let pos = put_tag b pos tag_bool in
+      Bytes.set_uint8 b pos (if x then 1 else 0);
       pos + 1
-    in
-    match v with
-    | Value.Nil -> tag tag_nil
-    | Value.Int i ->
-        let pos = tag tag_int in
-        Bytes.set_int32_le buf pos (Int32.of_int i);
-        pos + 4
-    | Value.Real r ->
-        let pos = tag tag_real in
-        Bytes.set_int64_le buf pos (Int64.bits_of_float r);
-        pos + 8
-    | Value.Bool b ->
-        let pos = tag tag_bool in
-        Bytes.set_uint8 buf pos (if b then 1 else 0);
-        pos + 1
-    | Value.Char c ->
-        let pos = tag tag_char in
-        Bytes.set buf pos c;
-        pos + 1
-    | Value.String s ->
-        let pos = tag tag_string in
-        Bytes.set_uint16_le buf pos (String.length s);
-        Bytes.blit_string s 0 buf (pos + 2) (String.length s);
-        pos + 2 + String.length s
-    | Value.Ref rid ->
-        let pos = tag tag_ref in
-        Bytes.blit (Tb_storage.Rid.encode rid) 0 buf pos
-          Tb_storage.Rid.on_disk_bytes;
-        pos + Tb_storage.Rid.on_disk_bytes
-    | Value.Big_set rid ->
-        let pos = tag tag_big_set in
-        Bytes.blit (Tb_storage.Rid.encode rid) 0 buf pos
-          Tb_storage.Rid.on_disk_bytes;
-        pos + Tb_storage.Rid.on_disk_bytes
-    | Value.Tuple fields ->
-        let pos = tag tag_tuple in
-        Bytes.set_uint16_le buf pos (List.length fields);
-        List.fold_left
-          (fun pos (n, v) ->
-            Bytes.set_uint16_le buf pos (String.length n);
-            Bytes.blit_string n 0 buf (pos + 2) (String.length n);
-            write (pos + 2 + String.length n) v)
-          (pos + 2) fields
-    | Value.Set xs ->
-        let pos = tag tag_set in
-        Bytes.set_int32_le buf pos (Int32.of_int (List.length xs));
-        List.fold_left write (pos + 4) xs
-    | Value.List xs ->
-        let pos = tag tag_list in
-        Bytes.set_int32_le buf pos (Int32.of_int (List.length xs));
-        List.fold_left write (pos + 4) xs
-  in
-  let final = write 0 v in
-  assert (final = Bytes.length buf);
-  buf
+  | Value.Char c ->
+      let pos = put_tag b pos tag_char in
+      Bytes.set b pos c;
+      pos + 1
+  | Value.String s ->
+      let pos = put_tag b pos tag_string in
+      Bytes.set_uint16_le b pos (String.length s);
+      Bytes.blit_string s 0 b (pos + 2) (String.length s);
+      pos + 2 + String.length s
+  | Value.Ref rid ->
+      let pos = put_tag b pos tag_ref in
+      Tb_storage.Rid.encode_into rid b ~pos;
+      pos + Tb_storage.Rid.on_disk_bytes
+  | Value.Big_set rid ->
+      let pos = put_tag b pos tag_big_set in
+      Tb_storage.Rid.encode_into rid b ~pos;
+      pos + Tb_storage.Rid.on_disk_bytes
+  | Value.Tuple fields ->
+      let pos = put_tag b pos tag_tuple in
+      Bytes.set_uint16_le b pos (List.length fields);
+      List.fold_left
+        (fun pos (n, v) ->
+          Bytes.set_uint16_le b pos (String.length n);
+          Bytes.blit_string n 0 b (pos + 2) (String.length n);
+          encode_into v b ~pos:(pos + 2 + String.length n))
+        (pos + 2) fields
+  | Value.Set xs ->
+      let pos = put_tag b pos tag_set in
+      Bytes.set_int32_le b pos (Int32.of_int (List.length xs));
+      List.fold_left (fun pos v -> encode_into v b ~pos) (pos + 4) xs
+  | Value.List xs ->
+      let pos = put_tag b pos tag_list in
+      Bytes.set_int32_le b pos (Int32.of_int (List.length xs));
+      List.fold_left (fun pos v -> encode_into v b ~pos) (pos + 4) xs
+
+let encode v =
+  let b = Bytes.create (encoded_size v) in
+  let final = encode_into v b ~pos:0 in
+  assert (final = Bytes.length b);
+  b
 
 let decode b ~pos =
   let rec read pos =

@@ -10,6 +10,11 @@ val encoded_size : Value.t -> int
 
 val encode : Value.t -> bytes
 
+(** [encode_into v b ~pos] writes the {!encoded_size} bytes of [v] at [pos]
+    in [b] and returns the position just past them; [encode] is this into a
+    fresh buffer of exactly that size. *)
+val encode_into : Value.t -> bytes -> pos:int -> int
+
 (** [decode b ~pos] reads one value starting at [pos] and returns it with
     the position one past its encoding.
     Raises [Invalid_argument] on malformed input. *)

@@ -233,7 +233,7 @@ let test_bulk_into_nonempty () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_vs_model;
+    Prop.to_alcotest prop_vs_model;
     Alcotest.test_case "leaf split at capacity boundary" `Quick
       test_leaf_split_boundary;
     Alcotest.test_case "internal split, borrow/merge, height shrink" `Quick

@@ -110,6 +110,6 @@ let explicit_corners () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_roundtrip;
+    Prop.to_alcotest prop_roundtrip;
     Alcotest.test_case "codec: explicit corner values" `Quick explicit_corners;
   ]

@@ -23,6 +23,22 @@ let build ?(organization = Generator.Class_clustered) ?(n_providers = 40)
   in
   Generator.build ~cost:(Tb_sim.Cost_model.scaled 1000) cfg
 
+(* The hand-written pad16 is Printf's %016d, digit for digit, from zero
+   through every power-of-ten boundary to the widest ints (which it hands
+   to the formatter). *)
+let test_pad16_matches_printf () =
+  let powers = List.init 19 (fun k -> int_of_float (10. ** float_of_int k)) in
+  let cases =
+    [ 0; 1; 7; 39; 40; 99; 12345; max_int; max_int - 1; -1; -42; min_int ]
+    @ List.concat_map (fun p -> [ p - 1; p; p + 1 ]) powers
+  in
+  List.iter
+    (fun n ->
+      Alcotest.(check string)
+        (Printf.sprintf "pad16 %d" n)
+        (Printf.sprintf "%016d" n) (Derby.pad16 n))
+    cases
+
 let test_cardinalities () =
   let b = build () in
   let db = b.Generator.db in
@@ -188,6 +204,7 @@ let test_unindexed_creation_costs_more_at_index_time () =
 let suite =
   [
     Alcotest.test_case "cardinalities" `Quick test_cardinalities;
+    Alcotest.test_case "pad16 is Printf's %016d" `Quick test_pad16_matches_printf;
     Alcotest.test_case "relationship consistency" `Quick
       test_relationship_consistency;
     Alcotest.test_case "num is a permutation" `Quick test_num_is_permutation;

@@ -289,7 +289,7 @@ let suite =
       test_big_collection_chunk_boundaries;
     Alcotest.test_case "btree: empty and degenerate ranges" `Quick
       test_btree_empty_and_degenerate_ranges;
-    QCheck_alcotest.to_alcotest btree_mixed_ops_invariants;
+    Prop.to_alcotest btree_mixed_ops_invariants;
     Alcotest.test_case "parser: aggregate roundtrip" `Quick
       test_parser_aggregate_roundtrip;
     Alcotest.test_case "planner: equality predicate uses the index" `Quick

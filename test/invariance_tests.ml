@@ -59,6 +59,26 @@ let test_sharded_s1_matches_golden () =
     (fun want have -> Alcotest.(check string) "S=1 sharded line" want have)
     golden got
 
+(* Load-time charges and durable page bytes.  The counter golden file
+   only sees the figure queries run on freshly built databases; this one
+   pins the builds themselves — the simulated load time of the four
+   Section 3.2 loading configurations (the unindexed one exercises the
+   header-growth rewrite of every object) and of the six shape x
+   organization builds, plus each disk's durable digest.  A write-path
+   change may move host cost, never one of these lines.
+
+   To re-capture after an *intentional* cost-model or page-format change:
+     dune exec bench/fingerprint_dump.exe -- --load > test/load_golden_scale40.txt *)
+let load_golden_file = "load_golden_scale40.txt"
+
+let test_load_matches_golden () =
+  let golden = read_lines load_golden_file in
+  let got = Tb_core.Fingerprint.load_lines ~scale:40 () in
+  Alcotest.(check int) "load line count" (List.length golden) (List.length got);
+  List.iter2
+    (fun want have -> Alcotest.(check string) "load line" want have)
+    golden got
+
 let suite =
   [
     Alcotest.test_case "counters: golden fingerprint (scale 40)" `Slow
@@ -67,4 +87,6 @@ let suite =
       test_back_to_back_runs_identical;
     Alcotest.test_case "counters: S=1 sharded engine matches golden" `Slow
       test_sharded_s1_matches_golden;
+    Alcotest.test_case "load: charges and durable pages match golden (scale 40)"
+      `Slow test_load_matches_golden;
   ]

@@ -597,7 +597,7 @@ let suite =
     Alcotest.test_case "parser: literals" `Quick test_parser_literals;
     Alcotest.test_case "exec: all four algorithms agree (4 organizations)"
       `Slow test_all_algorithms_agree;
-    QCheck_alcotest.to_alcotest algorithms_agree_prop;
+    Prop.to_alcotest algorithms_agree_prop;
     Alcotest.test_case "exec: selection correctness" `Quick
       test_selection_correctness;
     Alcotest.test_case "exec: sorted vs unsorted rows agree" `Quick

@@ -151,7 +151,7 @@ let suite =
     Alcotest.test_case "rng: bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng: copy independence" `Quick test_rng_copy_independent;
     Alcotest.test_case "rng: permutation" `Quick test_rng_permutation;
-    QCheck_alcotest.to_alcotest test_rng_uniformity;
+    Prop.to_alcotest test_rng_uniformity;
     Alcotest.test_case "cost model: scaling" `Quick test_cost_model_scaled;
     Alcotest.test_case "cost model: page densities match the paper" `Quick
       test_records_per_page;

@@ -92,8 +92,34 @@ let test_page_update_in_place_and_grow () =
   check_int "unchanged on failure" 100 (Bytes.length (Page_layout.read p s));
   Page_layout.check_invariants p
 
+(* The page's kept bookkeeping against a fresh walk of its directory
+   through the public span iterator: live bytes, dead slots, live count,
+   free bytes and the fit answer must all agree. *)
+let check_bookkeeping p =
+  let live = ref 0 and live_slots = ref 0 in
+  Page_layout.iter_spans p (fun _ _ len ->
+      live := !live + len;
+      incr live_slots);
+  let slots = Page_layout.slot_count p in
+  let dead = slots - !live_slots in
+  let free = Page_layout.size p - 4 - (4 * slots) - !live in
+  if Page_layout.live_bytes p <> !live then failwith "kept live_bytes disagrees";
+  if Page_layout.dead_slots p <> dead then failwith "kept dead_slots disagrees";
+  if Page_layout.live_count p <> !live_slots then failwith "kept live_count disagrees";
+  if Page_layout.free_bytes p <> free then failwith "kept free_bytes disagrees";
+  List.iter
+    (fun len ->
+      let need = if dead > 0 then len else len + 4 in
+      if len > 0 && Page_layout.fits p len <> (need <= free) then
+        failwith "fits disagrees")
+    [ 1; 17; 60; free; free + 1 ]
+
 (* Model-based property test: random op sequences against an association
-   list model. *)
+   list model.  After every operation the page's kept counts are checked
+   against a directory walk, on the page itself and on a working copy made
+   from its bytes (whose counts are seeded lazily); [`Reload] swaps the
+   page for such a copy, so later operations also mutate a page whose
+   counts were never seeded by [create]. *)
 let page_model_test =
   let open QCheck in
   let op_gen =
@@ -103,12 +129,13 @@ let page_model_test =
           (6, map (fun n -> `Insert (max 1 (n mod 60))) nat);
           (2, map (fun i -> `Delete i) nat);
           (2, map2 (fun i n -> `Update (i, max 1 (n mod 60))) nat nat);
+          (1, return `Reload);
         ])
   in
   let ops = make Gen.(list_size (int_range 1 120) op_gen) in
   Test.make ~name:"slotted page behaves like its model" ~count:200 ops
     (fun ops ->
-      let p = Page_layout.create ~size:512 in
+      let p = ref (Page_layout.create ~size:512) in
       let model : (int, bytes) Hashtbl.t = Hashtbl.create 16 in
       let counter = ref 0 in
       let payload len =
@@ -121,20 +148,20 @@ let page_model_test =
           (match op with
           | `Insert len -> (
               let b = payload len in
-              match Page_layout.insert p b with
+              match Page_layout.insert !p b with
               | Some slot ->
                   if Hashtbl.mem model slot then failwith "slot reused while live";
                   Hashtbl.replace model slot b
               | None ->
                   (* Refusal is only legal when the page really is full. *)
-                  if Page_layout.free_bytes p >= len + 4 then
+                  if Page_layout.free_bytes !p >= len + 4 then
                     failwith "refused although it fits")
           | `Delete i -> (
               match live_slots () with
               | [] -> ()
               | slots ->
                   let slot = List.nth slots (i mod List.length slots) in
-                  Page_layout.delete p slot;
+                  Page_layout.delete !p slot;
                   Hashtbl.remove model slot)
           | `Update (i, len) -> (
               match live_slots () with
@@ -142,16 +169,19 @@ let page_model_test =
               | slots ->
                   let slot = List.nth slots (i mod List.length slots) in
                   let b = payload len in
-                  if Page_layout.update p slot b then Hashtbl.replace model slot b));
-          Page_layout.check_invariants p)
+                  if Page_layout.update !p slot b then Hashtbl.replace model slot b)
+          | `Reload -> p := Page_layout.of_bytes (Page_layout.snapshot !p));
+          Page_layout.check_invariants !p;
+          check_bookkeeping !p;
+          check_bookkeeping (Page_layout.of_bytes (Page_layout.snapshot !p)))
         ops;
       (* Final state agrees with the model. *)
       Hashtbl.iter
         (fun slot b ->
-          if not (Bytes.equal (Page_layout.read p slot) b) then
+          if not (Bytes.equal (Page_layout.read !p slot) b) then
             failwith "content mismatch")
         model;
-      Page_layout.live_count p = Hashtbl.length model)
+      Page_layout.live_count !p = Hashtbl.length model)
 
 (* --- Page ids --- *)
 
@@ -443,12 +473,12 @@ let suite =
       test_page_compaction_recovers_space;
     Alcotest.test_case "page: update in place and grow" `Quick
       test_page_update_in_place_and_grow;
-    QCheck_alcotest.to_alcotest page_model_test;
+    Prop.to_alcotest page_model_test;
     Alcotest.test_case "page id: packing roundtrip" `Quick test_page_id_packing;
     Alcotest.test_case "pool: LRU eviction" `Quick test_pool_lru_eviction;
     Alcotest.test_case "pool: re-add refreshes recency" `Quick
       test_pool_readd_refreshes;
-    QCheck_alcotest.to_alcotest pool_never_exceeds_capacity;
+    Prop.to_alcotest pool_never_exceeds_capacity;
     Alcotest.test_case "pool: interleaved find/add/remove order" `Quick
       test_pool_interleaved_order;
     Alcotest.test_case "pool: capacity one" `Quick test_pool_capacity_one;
@@ -469,5 +499,5 @@ let suite =
     Alcotest.test_case "heap: delete" `Quick test_heap_delete;
     Alcotest.test_case "heap: fill factor density" `Quick
       test_heap_respects_fill_factor;
-    QCheck_alcotest.to_alcotest heap_roundtrip_prop;
+    Prop.to_alcotest heap_roundtrip_prop;
   ]

@@ -212,6 +212,64 @@ let test_header_slot_growth () =
   let h = Obj_header.add_index h 5 in
   check_int "re-add is idempotent" 9 (List.length (Obj_header.indexes h))
 
+(* The slot count is one byte: growth stops at 255 slots instead of
+   wrapping the count to 0 and misparsing the attributes behind it. *)
+let test_header_slot_cap () =
+  let h = ref (Obj_header.create ~class_id:0 ~indexed:true) in
+  for i = 0 to 247 do
+    h := Obj_header.add_index !h i
+  done;
+  check_int "248 slots encoded" (4 + (2 * 248)) (Obj_header.encoded_size !h);
+  let decoded, len = Obj_header.decode (Obj_header.encode !h) ~pos:0 in
+  check_int "consumed" (Obj_header.encoded_size !h) len;
+  check_int "248 memberships survive the u8 count" 248
+    (List.length (Obj_header.indexes decoded));
+  check_int "re-adding a member needs no room" 248
+    (List.length (Obj_header.indexes (Obj_header.add_index !h 17)));
+  check_bool "the 249th index is rejected" true
+    (match Obj_header.add_index !h 248 with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
+(* The in-place edit the index build makes agrees with [add_index] byte
+   for byte whenever the header has room, and reports "must grow"
+   otherwise. *)
+let test_header_in_place_matches_add_index () =
+  let slotted = Obj_header.create ~class_id:2 ~indexed:true in
+  let with_hole =
+    Obj_header.remove_index
+      (Obj_header.add_index (Obj_header.add_index slotted 1) 2)
+      1
+  in
+  let full = ref slotted in
+  for i = 0 to 7 do
+    full := Obj_header.add_index !full i
+  done;
+  let cases =
+    [
+      ("fresh slots", slotted, 5);
+      ("reuses the first hole", with_hole, 7);
+      ("already a member", with_hole, 2);
+      ("full", !full, 9);
+      ("full, already a member", !full, 3);
+      ("unslotted", Obj_header.create ~class_id:2 ~indexed:false, 4);
+    ]
+  in
+  List.iter
+    (fun (what, h, id) ->
+      let b = Obj_header.encode h in
+      match Obj_header.find_slot b ~pos:0 id with
+      | -1 ->
+          check_bool (what ^ ": must grow") true
+            (Obj_header.encoded_size
+               (Obj_header.add_index (Obj_header.with_slots h) id)
+            > Obj_header.encoded_size h)
+      | i ->
+          Obj_header.set_slot b ~pos:0 i id;
+          check_bool (what ^ ": same bytes as add_index") true
+            (Bytes.equal b (Obj_header.encode (Obj_header.add_index h id))))
+    cases
+
 (* --- Handle table --- *)
 
 let dummy_load () = (0, Handle.Whole (Value.Int 1))
@@ -571,6 +629,45 @@ let patient name mrn pcp =
       ("primary_care_provider", pcp);
     ]
 
+(* Index builds patch slotted headers in place and grow unslotted ones;
+   later updates and deletes read the old keys in place.  Every object ends
+   up listed in both trees under its key, with its attributes intact. *)
+let test_db_index_build_in_place () =
+  let _, db = mk_db () in
+  let prid = Database.insert_object db ~cls:"Provider" (provider "P" 1) in
+  let rids =
+    List.init 40 (fun i ->
+        Database.insert_object db ~cls:"Patient" ~indexed:(i mod 3 = 0)
+          (patient (Printf.sprintf "pat%02d" i) (100 + i) (Value.Ref prid)))
+  in
+  let ix1 = Database.create_index db ~name:"mrn" ~cls:"Patient" ~attr:"mrn" in
+  let ix2 = Database.create_index db ~name:"mrn2" ~cls:"Patient" ~attr:"mrn" in
+  let in_tree ix key rid =
+    List.exists (Rid.equal rid) (Btree.search ix.Index_def.tree ~key)
+  in
+  List.iteri
+    (fun i rid ->
+      let header, v = Database.read_object db rid in
+      Alcotest.(check (list int))
+        "header lists both indexes"
+        [ ix1.Index_def.id; ix2.Index_def.id ]
+        (Obj_header.indexes header);
+      check_string "name intact" (Printf.sprintf "pat%02d" i)
+        (Value.to_string_exn (Value.field v "name"));
+      check_bool "pcp intact" true
+        (Rid.equal prid (Value.to_ref (Value.field v "primary_care_provider")));
+      check_bool "in first tree" true (in_tree ix1 (100 + i) rid);
+      check_bool "in second tree" true (in_tree ix2 (100 + i) rid))
+    rids;
+  let moved = List.nth rids 4 and gone = List.nth rids 9 in
+  Database.update_object db moved (patient "moved" 999 (Value.Ref prid));
+  check_bool "new key indexed" true (in_tree ix1 999 moved && in_tree ix2 999 moved);
+  check_bool "old key dropped" false (in_tree ix1 104 moved || in_tree ix2 104 moved);
+  Database.delete_object db gone;
+  check_bool "deleted object unindexed" false (in_tree ix1 109 gone || in_tree ix2 109 gone);
+  Btree.check_invariants ix1.Index_def.tree;
+  Btree.check_invariants ix2.Index_def.tree
+
 let test_db_insert_and_read () =
   let _, db = mk_db () in
   let prid = Database.insert_object db ~cls:"Provider" (provider "Asterix" 1) in
@@ -750,7 +847,7 @@ let test_db_cold_restart () =
 let suite =
   [
     Alcotest.test_case "value: fields" `Quick test_value_field;
-    QCheck_alcotest.to_alcotest codec_roundtrip;
+    Prop.to_alcotest codec_roundtrip;
     Alcotest.test_case "codec: every constructor roundtrips and skips" `Quick
       test_codec_every_constructor;
     Alcotest.test_case "codec: paper byte sizes" `Quick test_codec_int_is_4_bytes;
@@ -760,6 +857,10 @@ let suite =
     Alcotest.test_case "header: size depends on slots" `Quick
       test_header_size_depends_on_slots;
     Alcotest.test_case "header: slot growth" `Quick test_header_slot_growth;
+    Alcotest.test_case "header: slot count capped at 255" `Quick
+      test_header_slot_cap;
+    Alcotest.test_case "header: in-place slot edit matches add_index" `Quick
+      test_header_in_place_matches_add_index;
     Alcotest.test_case "handles: refcount and zombies" `Quick
       test_handles_refcount_and_zombies;
     Alcotest.test_case "handles: double unref rejected" `Quick
@@ -777,10 +878,10 @@ let suite =
     Alcotest.test_case "btree: delete" `Quick test_btree_delete;
     Alcotest.test_case "btree: mass delete rebalances" `Slow
       test_btree_mass_delete_rebalances;
-    QCheck_alcotest.to_alcotest btree_delete_model_prop;
+    Prop.to_alcotest btree_delete_model_prop;
     Alcotest.test_case "btree: clustering factor" `Quick
       test_btree_clustering_factor;
-    QCheck_alcotest.to_alcotest btree_model_prop;
+    Prop.to_alcotest btree_model_prop;
     Alcotest.test_case "btree: index pages cost I/Os" `Quick
       test_btree_index_pages_cost_ios;
     Alcotest.test_case "histogram: uniform keys" `Quick
@@ -793,6 +894,8 @@ let suite =
     Alcotest.test_case "txn: load mode skips the log" `Quick
       test_txn_load_mode_free;
     Alcotest.test_case "db: insert/read/handle" `Quick test_db_insert_and_read;
+    Alcotest.test_case "db: index build writes headers in place" `Quick
+      test_db_index_build_in_place;
     Alcotest.test_case "db: lazy handle matches read_object" `Quick
       test_db_lazy_handle_matches_read_object;
     Alcotest.test_case "db: conformance enforced" `Quick
