@@ -23,11 +23,6 @@ module Counters = Tb_sim.Counters
 
 type state = { db : Database.t; acct : Op.Acct.acct }
 
-let lookup_env env v =
-  match List.assoc_opt v env with
-  | Some s -> s
-  | None -> invalid_arg ("Exec: unknown var " ^ v)
-
 (* The single live Handle a Fetch put in scope — what navigation, harvest
    and probe operators consume. *)
 let live_of_env = function
@@ -89,6 +84,10 @@ let rec iter_rids st node emit =
 and emit_rid_chunks st fr ~batch rids emit =
   match rids with
   | [] -> ()
+  | _ when List.compare_length_with rids batch <= 0 ->
+      fr.Op.rows_out <- fr.Op.rows_out + List.length rids;
+      emit rids;
+      Op.Acct.enter st.acct fr
   | _ ->
       let rec split n acc rest =
         match rest with
@@ -187,11 +186,13 @@ and iter_envs st node emit =
                  body; those rows take the Handle kernel (same charges). *)
               let cpreds = lazy (Operators.compile_preds db ~cls preds) in
               fun h -> (
-                match Database.packed_body db h with
-                | Some (buf, pos) ->
-                    Packed.seek_all prog buf ~pos;
+                match h.Handle.repr with
+                | Handle.Packed p ->
+                    let buf = Database.packed_bytes db p in
+                    Packed.seek_all prog buf ~pos:p.Handle.p_body;
                     Packed.eval_preds db prog buf
-                | None -> Operators.eval_preds db h (Lazy.force cpreds))
+                | Handle.Whole _ ->
+                    Operators.eval_preds db h (Lazy.force cpreds))
         in
         iter_rid_batches st ~batch child (fun rids ->
             List.iter
@@ -199,14 +200,17 @@ and iter_envs st node emit =
                 Op.Acct.enter st.acct fr;
                 fr.Op.rows_in <- fr.Op.rows_in + 1;
                 let h = Database.acquire db rid in
-                Fun.protect
-                  ~finally:(fun () -> Database.unref db h)
-                  (fun () ->
-                    if eval h then begin
-                      fr.Op.rows_out <- fr.Op.rows_out + 1;
-                      emit [ (var, Op.Live h) ];
-                      Op.Acct.enter st.acct fr
-                    end))
+                match
+                  if eval h then begin
+                    fr.Op.rows_out <- fr.Op.rows_out + 1;
+                    emit [ (var, Op.Live h) ];
+                    Op.Acct.enter st.acct fr
+                  end
+                with
+                | () -> Database.unref db h
+                | exception e ->
+                    Database.unref db h;
+                    raise e)
               rids)
       end
   | Op.Nav_set { child; set_attr; owner_cls; nav_var; nav_cls; preds } ->
@@ -219,16 +223,19 @@ and iter_envs st node emit =
           let clients = Database.get_att_slot db ph set_slot in
           Database.iter_set db clients (fun elt ->
               match elt with
-              | Value.Ref crid ->
+              | Value.Ref crid -> (
                   let ch = Database.acquire db crid in
-                  Fun.protect
-                    ~finally:(fun () -> Database.unref db ch)
-                    (fun () ->
-                      if Operators.eval_preds db ch cpreds then begin
-                        fr.Op.rows_out <- fr.Op.rows_out + 1;
-                        emit ((nav_var, Op.Live ch) :: env);
-                        Op.Acct.enter st.acct fr
-                      end)
+                  match
+                    if Operators.eval_preds db ch cpreds then begin
+                      fr.Op.rows_out <- fr.Op.rows_out + 1;
+                      emit ((nav_var, Op.Live ch) :: env);
+                      Op.Acct.enter st.acct fr
+                    end
+                  with
+                  | () -> Database.unref db ch
+                  | exception e ->
+                      Database.unref db ch;
+                      raise e)
               | Value.Nil -> ()
               | _ -> invalid_arg "Exec: collection element is not a reference"))
   | Op.Nav_inverse { child; inv_attr; owner_cls; nav_var; nav_cls; preds } ->
@@ -239,16 +246,19 @@ and iter_envs st node emit =
           fr.Op.rows_in <- fr.Op.rows_in + 1;
           let ch = live_of_env env in
           match Database.get_att_slot db ch inv_slot with
-          | Value.Ref prid ->
+          | Value.Ref prid -> (
               let ph = Database.acquire db prid in
-              Fun.protect
-                ~finally:(fun () -> Database.unref db ph)
-                (fun () ->
-                  if Operators.eval_preds db ph cpreds then begin
-                    fr.Op.rows_out <- fr.Op.rows_out + 1;
-                    emit ((nav_var, Op.Live ph) :: env);
-                    Op.Acct.enter st.acct fr
-                  end)
+              match
+                if Operators.eval_preds db ph cpreds then begin
+                  fr.Op.rows_out <- fr.Op.rows_out + 1;
+                  emit ((nav_var, Op.Live ph) :: env);
+                  Op.Acct.enter st.acct fr
+                end
+              with
+              | () -> Database.unref db ph
+              | exception e ->
+                  Database.unref db ph;
+                  raise e)
           | Value.Nil -> ()
           | _ -> invalid_arg "Exec: inverse attribute is not a reference")
   | Op.Hash_probe { build; probe; probe_key; probe_cls; build_var; probe_var }
@@ -287,9 +297,10 @@ and iter_kvs st node emit =
           fr.Op.rows_in <- fr.Op.rows_in + 1;
           let h = live_of_env env in
           let self = h.Handle.rid in
-          match Database.packed_body st.db h with
-          | Some (buf, pos) -> (
-              Packed.seek_all prog buf ~pos;
+          match h.Handle.repr with
+          | Handle.Packed p -> (
+              let buf = Database.packed_bytes st.db p in
+              Packed.seek_all prog buf ~pos:p.Handle.p_body;
               match Packed.eval_key st.db prog buf ~self with
               | Some k ->
                   let payload = Packed.make_payload st.db prog buf ~self in
@@ -297,7 +308,7 @@ and iter_kvs st node emit =
                   emit (k, payload);
                   Op.Acct.enter st.acct fr
               | None -> ())
-          | None -> (
+          | Handle.Whole _ -> (
               (* Materialized resident: Handle kernel, identical charges. *)
               match (Lazy.force keyf) h with
               | Some k ->
@@ -337,18 +348,20 @@ and run_hash_probe st fr ~build ~probe ~probe_key ~probe_cls ~build_var
                 ~payload_bytes:(Operators.payload_bytes payload)
                 payload);
           let keyf = Operators.compile_key db ~cls:probe_cls probe_key in
+          let rec emit_matches env = function
+            | [] -> ()
+            | bp :: rest ->
+                fr.Op.rows_out <- fr.Op.rows_out + 1;
+                emit ((build_var, Op.Stored bp) :: env);
+                Op.Acct.enter st.acct fr;
+                emit_matches env rest
+          in
           iter_envs st probe (fun env ->
               Op.Acct.enter st.acct fr;
               fr.Op.rows_in <- fr.Op.rows_in + 1;
               let h = live_of_env env in
               match keyf h with
-              | Some key ->
-                  List.iter
-                    (fun bp ->
-                      fr.Op.rows_out <- fr.Op.rows_out + 1;
-                      emit ((build_var, Op.Stored bp) :: env);
-                      Op.Acct.enter st.acct fr)
-                    (Mem_hash.find table ~key)
+              | Some key -> emit_matches env (Mem_hash.find table ~key)
               | None -> ()))
   | _ -> invalid_arg "Exec: Hash_probe expects a Hash_build build side"
 
@@ -514,10 +527,11 @@ let iter_values st node emit =
   match node.Op.kind with
   | Op.Project { child; select } ->
       let fr = node.Op.frame in
+      let proj = Operators.compile_select select in
       iter_envs st child (fun env ->
           Op.Acct.enter st.acct fr;
           fr.Op.rows_in <- fr.Op.rows_in + 1;
-          let v = Operators.eval_select st.db select ~lookup:(lookup_env env) in
+          let v = Operators.project st.db proj env in
           fr.Op.rows_out <- fr.Op.rows_out + 1;
           emit v;
           Op.Acct.enter st.acct fr)
@@ -777,7 +791,27 @@ let run_exchange_dest acct db xl ~keep ~(bx : (Rid.t * Op.payload) Exchange.t)
             payload)
         (Exchange.take bx ~dest:xl.xl_shard);
       Exchange.release_dest bx ~dest:xl.xl_shard;
+      let proj = Operators.compile_select select in
       let result = Query_result.create ?aggregate sim ~keep in
+      (* The binding a match projects is the one the single-shard probe
+         emits: the build payload in front of the probe row's. *)
+      let rec emit_matches penv = function
+        | [] -> ()
+        | bp :: rest ->
+            hp_fr.Op.rows_out <- hp_fr.Op.rows_out + 1;
+            Op.Acct.enter acct proj_fr;
+            proj_fr.Op.rows_in <- proj_fr.Op.rows_in + 1;
+            let v =
+              Operators.project db proj ((xl.xl_build_var, Op.Stored bp) :: penv)
+            in
+            proj_fr.Op.rows_out <- proj_fr.Op.rows_out + 1;
+            Op.Acct.enter acct mat_fr;
+            mat_fr.Op.rows_in <- mat_fr.Op.rows_in + 1;
+            Query_result.append result v;
+            mat_fr.Op.rows_out <- mat_fr.Op.rows_out + 1;
+            Op.Acct.enter acct hp_fr;
+            emit_matches penv rest
+      in
       (* The result survives the return — the gather owns it — but a raise
          while probing must not leak its claimed bytes: dispose on the
          unwind (the failover path then rebuilds on the replica). *)
@@ -786,23 +820,8 @@ let run_exchange_dest acct db xl ~keep ~(bx : (Rid.t * Op.payload) Exchange.t)
          List.iter
            (fun (key, pl) ->
              hp_fr.Op.rows_in <- hp_fr.Op.rows_in + 1;
-             List.iter
-               (fun bp ->
-                 hp_fr.Op.rows_out <- hp_fr.Op.rows_out + 1;
-                 Op.Acct.enter acct proj_fr;
-                 proj_fr.Op.rows_in <- proj_fr.Op.rows_in + 1;
-                 let lookup v =
-                   if String.equal v xl.xl_build_var then Op.Stored bp
-                   else if String.equal v xl.xl_probe_var then Op.Stored pl
-                   else invalid_arg ("Exec: unknown var " ^ v)
-                 in
-                 let v = Operators.eval_select db select ~lookup in
-                 proj_fr.Op.rows_out <- proj_fr.Op.rows_out + 1;
-                 Op.Acct.enter acct mat_fr;
-                 mat_fr.Op.rows_in <- mat_fr.Op.rows_in + 1;
-                 Query_result.append result v;
-                 mat_fr.Op.rows_out <- mat_fr.Op.rows_out + 1;
-                 Op.Acct.enter acct hp_fr)
+             emit_matches
+               [ (xl.xl_probe_var, Op.Stored pl) ]
                (Mem_hash.find table ~key))
            (Exchange.take px ~dest:xl.xl_shard);
          Exchange.release_dest px ~dest:xl.xl_shard;

@@ -35,37 +35,89 @@ let compile_attrs db ~cls attrs =
   List.map (fun a -> (a, Database.attr_slot db ~cls a)) attrs
 
 (* Harvest exactly the attributes [select] needs from a live Handle. *)
-let make_payload db h ~slots =
-  {
-    Op.self = h.Handle.rid;
-    attrs = List.map (fun (a, slot) -> (a, Database.get_att_slot db h slot)) slots;
-  }
+let rec harvest db h = function
+  | [] -> []
+  | (a, slot) :: rest ->
+      let v = Database.get_att_slot db h slot in
+      (a, v) :: harvest db h rest
 
-let eval_select db select ~lookup =
-  let rec ev = function
-    | Oql_ast.Const lit -> Oql_ast.literal_to_value lit
-    | Oql_ast.Var v -> (
-        match lookup v with
-        | Op.Live h -> Value.Ref h.Handle.rid
-        | Op.Stored p -> Value.Ref p.Op.self)
-    | Oql_ast.Path (v, attr) -> (
-        match lookup v with
-        | Op.Live h -> Database.get_att db h attr
-        | Op.Stored p -> (
-            match List.assoc_opt attr p.Op.attrs with
-            | Some x -> x
-            | None -> invalid_arg ("Exec: attribute " ^ attr ^ " not stowed")))
-    | Oql_ast.Mk_tuple fields ->
-        Value.Tuple (List.map (fun (n, e) -> (n, ev e)) fields)
-  in
-  ev select
+let make_payload db h ~slots = { Op.self = h.Handle.rid; attrs = harvest db h slots }
 
-let eval_preds db h preds =
-  List.for_all
-    (fun { pslot; pcmp; pconst } ->
+(* A projection compiled once per operator: constants are built up front,
+   and each attribute path remembers the slot it resolved for the last
+   class it met, so a row pays no name lookup and builds no closure — it
+   allocates the values it returns and nothing else. *)
+type proj =
+  | P_const of Value.t
+  | P_var of string
+  | P_path of path
+  | P_tuple of (string * proj) list
+
+and path = {
+  var : string;
+  attr : string;
+  mutable cls : int;  (* class id [slot] was resolved for; -1 for none *)
+  mutable slot : int;
+}
+
+let rec compile_select = function
+  | Oql_ast.Const lit -> P_const (Oql_ast.literal_to_value lit)
+  | Oql_ast.Var v -> P_var v
+  | Oql_ast.Path (var, attr) -> P_path { var; attr; cls = -1; slot = 0 }
+  | Oql_ast.Mk_tuple fields ->
+      P_tuple (List.map (fun (n, e) -> (n, compile_select e)) fields)
+
+let rec source_of env v =
+  match env with
+  | (n, s) :: rest -> if String.equal n v then s else source_of rest v
+  | [] -> invalid_arg ("Exec: unknown var " ^ v)
+
+let rec stowed attrs attr =
+  match attrs with
+  | (n, x) :: rest -> if String.equal n attr then x else stowed rest attr
+  | [] -> invalid_arg ("Exec: attribute " ^ attr ^ " not stowed")
+
+(* The first row of a class reads by name — the charge any [get_att]
+   makes, and the same raise for an unknown attribute — and keeps the
+   slot for the rows after it. *)
+let live_att db p h =
+  let cls = h.Handle.class_id in
+  if cls = p.cls then Database.get_att_slot db h p.slot
+  else begin
+    let v = Database.get_att db h p.attr in
+    p.slot <-
+      Tb_store.Schema.attr_slot (Database.schema db) ~class_id:cls ~attr:p.attr;
+    p.cls <- cls;
+    v
+  end
+
+let rec project db proj env =
+  match proj with
+  | P_const v -> v
+  | P_var v -> (
+      match source_of env v with
+      | Op.Live h -> Value.Ref h.Handle.rid
+      | Op.Stored p -> Value.Ref p.Op.self)
+  | P_path p -> (
+      match source_of env p.var with
+      | Op.Live h -> live_att db p h
+      | Op.Stored s -> stowed s.Op.attrs p.attr)
+  | P_tuple fields -> Value.Tuple (project_fields db fields env)
+
+(* Left to right, as the attribute charges have always been ordered. *)
+and project_fields db fields env =
+  match fields with
+  | [] -> []
+  | (n, e) :: rest ->
+      let v = project db e env in
+      (n, v) :: project_fields db rest env
+
+let rec eval_preds db h = function
+  | [] -> true
+  | { pslot; pcmp; pconst } :: rest ->
       Sim.charge_compare (Database.sim db) 1;
-      Oql_ast.eval_cmp pcmp (Database.get_att_slot db h pslot) pconst)
-    preds
+      Oql_ast.eval_cmp pcmp (Database.get_att_slot db h pslot) pconst
+      && eval_preds db h rest
 
 let key_of_inverse db inv_slot h =
   match Database.get_att_slot db h inv_slot with
@@ -139,7 +191,7 @@ let release_bytes sim n = Sim.release_bytes sim n
    streamed through disk once more (write out, read back for the merge);
    parents' keys are unique (their own Rids). *)
 let merge_join sim ~bytes ~parents ~children emit =
-  if Sim.excess_ratio sim > 0.0 then begin
+  if Sim.over_budget sim then begin
     let pages = (bytes / sim.Sim.cost.Tb_sim.Cost_model.page_size) + 1 in
     for _ = 1 to pages do
       Sim.charge_disk_write sim;

@@ -29,13 +29,19 @@ val compile_attrs :
 val make_payload :
   Tb_store.Database.t -> Tb_store.Handle.t -> slots:(string * int) list -> Op.payload
 
-(** Evaluate the projection; Handle-backed variables charge attribute
-    accesses, stowed ones read the harvested payload. *)
-val eval_select :
-  Tb_store.Database.t ->
-  Oql_ast.expr ->
-  lookup:(string -> Op.source) ->
-  Tb_store.Value.t
+(** A projection compiled for one operator run: attribute slots are
+    resolved once per class and remembered, so evaluating a row allocates
+    only the values it returns.  Mutable — compile one per run. *)
+type proj
+
+val compile_select : Oql_ast.expr -> proj
+
+(** [project db proj env] evaluates the projection over one binding
+    environment; Handle-backed variables charge attribute accesses, stowed
+    ones read the harvested payload.  Raises [Invalid_argument] for an
+    unbound variable, an unknown attribute or one not stowed. *)
+val project :
+  Tb_store.Database.t -> proj -> (string * Op.source) list -> Tb_store.Value.t
 
 (** Short-circuit conjunction; one charged comparison and one charged
     attribute access per evaluated predicate. *)

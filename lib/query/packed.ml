@@ -124,13 +124,13 @@ let compile db ~cls ?(preds = []) ?(key = Op.K_self) ?(attrs = []) () =
    recording where each needed slot's encoding starts. *)
 let seek_all prog buf ~pos =
   let cursor = ref pos in
-  Array.iter
-    (fun { skips; dst } ->
-      for _ = 1 to skips do
-        cursor := Codec.skip buf ~pos:!cursor
-      done;
-      prog.scratch.(dst) <- !cursor)
-    prog.seeks
+  for i = 0 to Array.length prog.seeks - 1 do
+    let { skips; dst } = prog.seeks.(i) in
+    for _ = 1 to skips do
+      cursor := Codec.skip buf ~pos:!cursor
+    done;
+    prog.scratch.(dst) <- !cursor
+  done
 
 let apply_cmp cmp ord =
   match cmp with
@@ -158,31 +158,28 @@ let cmp_str buf base len s =
    other than the constant's — a Nil attribute, say — falls back to
    decoding the value and [Oql_ast.eval_cmp], reproducing the Handle
    path's results and errors bit for bit. *)
-let eval_preds db prog buf =
-  let sim = Database.sim db in
-  let n = Array.length prog.preds in
-  let rec go i =
-    i >= n
-    ||
-    let p = prog.preds.(i) in
-    Sim.charge_compare sim 1;
-    Sim.charge_get_att sim;
-    let pos = prog.scratch.(p.src) in
-    let tag = Char.code (Bytes.unsafe_get buf pos) in
-    let pass =
-      match p.pconst with
-      | C_int k when tag = Codec.tag_int ->
-          apply_cmp p.pcmp
-            (Int.compare (Int32.to_int (Bytes.get_int32_le buf (pos + 1))) k)
-      | C_string s when tag = Codec.tag_string ->
-          apply_cmp p.pcmp
-            (cmp_str buf (pos + 3) (Bytes.get_uint16_le buf (pos + 1)) s)
-      | C_int _ | C_string _ ->
-          Oql_ast.eval_cmp p.pcmp (fst (Codec.decode buf ~pos)) p.pfallback
-    in
-    pass && go (i + 1)
+let rec eval_from sim prog buf i =
+  i >= Array.length prog.preds
+  ||
+  let p = prog.preds.(i) in
+  Sim.charge_compare sim 1;
+  Sim.charge_get_att sim;
+  let pos = prog.scratch.(p.src) in
+  let tag = Char.code (Bytes.unsafe_get buf pos) in
+  let pass =
+    match p.pconst with
+    | C_int k when tag = Codec.tag_int ->
+        apply_cmp p.pcmp
+          (Int.compare (Int32.to_int (Bytes.get_int32_le buf (pos + 1))) k)
+    | C_string s when tag = Codec.tag_string ->
+        apply_cmp p.pcmp
+          (cmp_str buf (pos + 3) (Bytes.get_uint16_le buf (pos + 1)) s)
+    | C_int _ | C_string _ ->
+        Oql_ast.eval_cmp p.pcmp (Codec.decode_value buf ~pos) p.pfallback
   in
-  go 0
+  pass && eval_from sim prog buf (i + 1)
+
+let eval_preds db prog buf = eval_from (Database.sim db) prog buf 0
 
 (* Join key off the record bytes: the object's own identity (free, as in
    [Operators.compile_key]) or the stored inverse reference (one get_att
@@ -202,15 +199,14 @@ let eval_key db prog buf ~self =
    Handle path's get_att charge, then one decode at the recorded position
    (the packed path's only per-row [Value.t] allocation, for rows that
    survived the predicates). *)
+let rec payload_from sim prog buf i =
+  if i >= Array.length prog.payload then []
+  else begin
+    let name, reg = prog.payload.(i) in
+    Sim.charge_get_att sim;
+    let v = Codec.decode_value buf ~pos:prog.scratch.(reg) in
+    (name, v) :: payload_from sim prog buf (i + 1)
+  end
+
 let make_payload db prog buf ~self =
-  let sim = Database.sim db in
-  {
-    Op.self;
-    attrs =
-      Array.to_list
-        (Array.map
-           (fun (name, reg) ->
-             Sim.charge_get_att sim;
-             (name, fst (Codec.decode buf ~pos:prog.scratch.(reg))))
-           prog.payload);
-  }
+  { Op.self; attrs = payload_from (Database.sim db) prog buf 0 }

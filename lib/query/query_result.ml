@@ -108,7 +108,7 @@ let append t v =
       (* Past physical memory the collection spills sequentially (the
          append already paid the page fault): the spilled part is no longer
          resident and must not make unrelated random accesses thrash. *)
-      if Tb_sim.Sim.excess_ratio t.sim > 0.0 then
+      if Tb_sim.Sim.over_budget t.sim then
         Tb_sim.Sim.release_bytes t.sim bytes
       else t.resident_bytes <- t.resident_bytes + bytes
 

@@ -1,3 +1,5 @@
+type fault_accum = { mutable random : float; mutable sequential : float }
+
 type t = {
   cost : Cost_model.t;
   clock : Clock.t;
@@ -5,8 +7,7 @@ type t = {
   rng : Rng.t;
   mutable working_bytes : int;
   mutable peak_working_bytes : int;
-  mutable random_fault_accum : float;
-  mutable seq_fault_accum : float;
+  faults : fault_accum;
 }
 
 let create ?(seed = 42) cost =
@@ -17,8 +18,7 @@ let create ?(seed = 42) cost =
     rng = Rng.create seed;
     working_bytes = 0;
     peak_working_bytes = 0;
-    random_fault_accum = 0.0;
-    seq_fault_accum = 0.0;
+    faults = { random = 0.0; sequential = 0.0 };
   }
 
 let elapsed_s t = Clock.now_s t.clock
@@ -27,8 +27,8 @@ let reset t =
   Clock.reset t.clock;
   Counters.reset t.counters;
   t.peak_working_bytes <- t.working_bytes;
-  t.random_fault_accum <- 0.0;
-  t.seq_fault_accum <- 0.0
+  t.faults.random <- 0.0;
+  t.faults.sequential <- 0.0
 
 let claim_bytes t n =
   if n < 0 then invalid_arg "Sim.claim_bytes: negative";
@@ -42,61 +42,77 @@ let release_bytes t n =
 
 let working_bytes t = t.working_bytes
 
-let excess_ratio t =
+let[@inline] excess_ratio t =
   let avail = Cost_model.available_bytes t.cost in
   if avail <= 0 then if t.working_bytes > 0 then 1.0 else 0.0
   else
     let excess = t.working_bytes - avail in
     if excess <= 0 then 0.0 else float_of_int excess /. float_of_int avail
 
-let us t micros = Clock.advance t.clock (micros /. 1000.0)
+(* [excess_ratio t > 0.0] without computing (and boxing) the ratio. *)
+let over_budget t =
+  let avail = Cost_model.available_bytes t.cost in
+  if avail <= 0 then t.working_bytes > 0 else t.working_bytes > avail
+
+(* [Clock.advance] written out, as [Clock.t] allows: a duration computed
+   here would be boxed to cross into [Clock]. *)
+let[@inline] advance t ms =
+  if ms < 0.0 then invalid_arg "Clock.advance: negative duration";
+  let c = t.clock in
+  c.Clock.now_ms <- c.Clock.now_ms +. ms;
+  c.Clock.work_ms <- c.Clock.work_ms +. ms
+
+let[@inline] us t micros = advance t (micros /. 1000.0)
 
 (* Deterministic swap accounting: accumulate fractional faults and charge
    whole ones, so results do not depend on PRNG draws. *)
 let swap_random t =
-  let p = Float.min 1.0 (excess_ratio t *. t.cost.Cost_model.thrash_factor) in
+  let p = excess_ratio t *. t.cost.Cost_model.thrash_factor in
+  let p = if p > 1.0 then 1.0 else p in
   if p > 0.0 then begin
-    t.random_fault_accum <- t.random_fault_accum +. p;
-    if t.random_fault_accum >= 1.0 then begin
-      let faults = int_of_float t.random_fault_accum in
-      t.random_fault_accum <- t.random_fault_accum -. float_of_int faults;
+    let acc = t.faults in
+    acc.random <- acc.random +. p;
+    if acc.random >= 1.0 then begin
+      let faults = int_of_float acc.random in
+      acc.random <- acc.random -. float_of_int faults;
       t.counters.Counters.swap_faults <-
         t.counters.Counters.swap_faults + faults;
-      Clock.advance t.clock (float_of_int faults *. t.cost.Cost_model.swap_fault_ms)
+      advance t (float_of_int faults *. t.cost.Cost_model.swap_fault_ms)
     end
   end
 
 let swap_sequential t bytes =
-  if excess_ratio t > 0.0 then begin
+  if over_budget t then begin
     let pages = float_of_int bytes /. float_of_int t.cost.Cost_model.page_size in
-    t.seq_fault_accum <- t.seq_fault_accum +. pages;
-    if t.seq_fault_accum >= 1.0 then begin
-      let faults = int_of_float t.seq_fault_accum in
-      t.seq_fault_accum <- t.seq_fault_accum -. float_of_int faults;
+    let acc = t.faults in
+    acc.sequential <- acc.sequential +. pages;
+    if acc.sequential >= 1.0 then begin
+      let faults = int_of_float acc.sequential in
+      acc.sequential <- acc.sequential -. float_of_int faults;
       t.counters.Counters.swap_faults <-
         t.counters.Counters.swap_faults + faults;
-      Clock.advance t.clock (float_of_int faults *. t.cost.Cost_model.swap_fault_ms)
+      advance t (float_of_int faults *. t.cost.Cost_model.swap_fault_ms)
     end
   end
 
 let charge_disk_read t =
   t.counters.Counters.disk_reads <- t.counters.Counters.disk_reads + 1;
-  Clock.advance t.clock t.cost.Cost_model.page_read_ms
+  advance t t.cost.Cost_model.page_read_ms
 
 let charge_disk_write t =
   t.counters.Counters.disk_writes <- t.counters.Counters.disk_writes + 1;
-  Clock.advance t.clock t.cost.Cost_model.page_write_ms
+  advance t t.cost.Cost_model.page_write_ms
 
 let charge_rpc t ~pages =
   t.counters.Counters.rpc_count <- t.counters.Counters.rpc_count + 1;
   t.counters.Counters.rpc_pages <- t.counters.Counters.rpc_pages + pages;
-  Clock.advance t.clock
+  advance t
     (t.cost.Cost_model.rpc_fixed_ms
     +. (float_of_int pages *. t.cost.Cost_model.rpc_page_ms))
 
 let charge_client_hit t =
   t.counters.Counters.client_hits <- t.counters.Counters.client_hits + 1;
-  Clock.advance t.clock t.cost.Cost_model.client_hit_ms
+  advance t t.cost.Cost_model.client_hit_ms
 
 let charge_handle_alloc t kind =
   t.counters.Counters.handle_allocs <- t.counters.Counters.handle_allocs + 1;
@@ -157,27 +173,27 @@ let charge_undo_page t =
 let charge_read_retry t ~backoff_ms =
   t.counters.Counters.read_retries <- t.counters.Counters.read_retries + 1;
   charge_disk_read t;
-  Clock.advance t.clock backoff_ms
+  advance t backoff_ms
 
 (* A shard RPC declared lost: the full timeout window elapses before the
    caller learns anything.  Detection cost of every injected transient,
    partition or crash event. *)
 let charge_rpc_timeout t =
   t.counters.Counters.rpc_timeouts <- t.counters.Counters.rpc_timeouts + 1;
-  Clock.advance t.clock t.cost.Cost_model.rpc_timeout_ms
+  advance t t.cost.Cost_model.rpc_timeout_ms
 
 (* Re-issuing a timed-out shard RPC after an exponential-backoff wait.  Only
    the wait is charged here — the re-issued RPC itself goes through
    [charge_rpc] like any other, so traffic counters stay honest. *)
 let charge_rpc_retry t ~backoff_ms =
   t.counters.Counters.rpc_retries <- t.counters.Counters.rpc_retries + 1;
-  Clock.advance t.clock backoff_ms
+  advance t backoff_ms
 
 (* Promoting a replica to primary: election plus a checksum walk over the
    follower's durable pages. *)
 let charge_failover t ~pages =
   t.counters.Counters.failovers <- t.counters.Counters.failovers + 1;
-  Clock.advance t.clock
+  advance t
     (t.cost.Cost_model.promote_fixed_ms
     +. (float_of_int pages *. t.cost.Cost_model.promote_page_ms))
 

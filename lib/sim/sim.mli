@@ -17,6 +17,13 @@
     (Sections 3.5 and 5.1).  Sequential growth (result construction) pays at
     most one fault per page of excess, modelling write-behind. *)
 
+(** Swap faults accrued but not yet charged (whole ones are charged as
+    they accumulate).  All-float, so updating them stores unboxed floats. *)
+type fault_accum = {
+  mutable random : float;  (** from hash inserts and probes *)
+  mutable sequential : float;  (** from result construction *)
+}
+
 type t = {
   cost : Cost_model.t;
   clock : Clock.t;
@@ -24,8 +31,7 @@ type t = {
   rng : Rng.t;
   mutable working_bytes : int;
   mutable peak_working_bytes : int;  (** high-water mark since last [reset] *)
-  mutable random_fault_accum : float;
-  mutable seq_fault_accum : float;
+  faults : fault_accum;
 }
 
 (** [create ?seed cost] makes a fresh context; [seed] defaults to 42. *)
@@ -49,6 +55,10 @@ val working_bytes : t -> int
 (** [excess_ratio t] is [(claimed - available) / available], clamped at 0 —
     how far past physical memory the working structures have grown. *)
 val excess_ratio : t -> float
+
+(** [over_budget t] is exactly [excess_ratio t > 0.0]: the claimed bytes
+    exceed available memory (any claim at all when none is available). *)
+val over_budget : t -> bool
 
 (** {2 Charging events}
 

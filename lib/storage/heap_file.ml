@@ -130,36 +130,57 @@ let read t rid =
    plus the body's span inside that page's buffer, following at most one
    forwarding hop.  The charge sequence (one fetch per page touched) is
    identical to [read]; the difference is purely host-side — no Bytes.sub.
-   Returns [(page, slot, pos, len)] where [slot] is the physical slot on
-   [page] whose record contains the body (it differs from [rid.slot] when
-   the record was relocated), so callers can re-derive the span after the
-   page compacts under them. *)
-let locate t (rid : Rid.t) =
+   The page is returned; the rest lands in [loc], which callers own and
+   reuse, so a locate allocates nothing.  [l_slot] is the physical slot on
+   the page whose record contains the body (it differs from [rid.slot]
+   when the record was relocated) and [l_off] that record's offset, so
+   callers can re-derive the span after the page compacts under them. *)
+type loc = {
+  mutable l_slot : int;
+  mutable l_off : int;
+  mutable l_pos : int;
+  mutable l_len : int;
+}
+
+let new_loc () = { l_slot = 0; l_off = 0; l_pos = 0; l_len = 0 }
+
+let set_loc loc ~slot ~off ~hop ~len =
+  loc.l_slot <- slot;
+  loc.l_off <- off;
+  loc.l_pos <- off + hop;
+  loc.l_len <- len - hop
+
+let locate t (rid : Rid.t) loc =
   let pid = Page_id.make ~file:rid.Rid.file ~index:rid.Rid.page in
   let page = Cache_stack.fetch t.stack pid in
-  let off, len = Page_layout.record_span page rid.Rid.slot in
+  let off = Page_layout.record_offset page rid.Rid.slot in
+  let len = Page_layout.record_length page rid.Rid.slot in
   let buf = Page_layout.buffer page in
   match Bytes.get buf off with
-  | c when c = tag_normal -> (page, rid.Rid.slot, off + 1, len - 1)
+  | c when c = tag_normal ->
+      set_loc loc ~slot:rid.Rid.slot ~off ~hop:1 ~len;
+      page
   | c when c = tag_forward ->
       let target = Rid.decode buf ~pos:(off + 1) in
       let tpid = Page_id.make ~file:target.Rid.file ~index:target.Rid.page in
       let tpage = Cache_stack.fetch t.stack tpid in
-      let toff, tlen = Page_layout.record_span tpage target.Rid.slot in
+      let toff = Page_layout.record_offset tpage target.Rid.slot in
       if Bytes.get (Page_layout.buffer tpage) toff <> tag_relocated then
         invalid_arg "Heap_file.locate: stub does not point at a relocated body";
-      let hop = 1 + Rid.on_disk_bytes in
-      (tpage, target.Rid.slot, toff + hop, tlen - hop)
+      set_loc loc ~slot:target.Rid.slot ~off:toff ~hop:(1 + Rid.on_disk_bytes)
+        ~len:(Page_layout.record_length tpage target.Rid.slot);
+      tpage
   | c when c = tag_relocated ->
-      let hop = 1 + Rid.on_disk_bytes in
-      (page, rid.Rid.slot, off + hop, len - hop)
+      set_loc loc ~slot:rid.Rid.slot ~off ~hop:(1 + Rid.on_disk_bytes) ~len;
+      page
   | _ -> invalid_arg "Heap_file.locate: bad record tag"
 
 (* The page stays pinned (a live OCaml reference) for the duration of [f];
    [f] must not mutate the page or trigger record movement on it. *)
 let with_record_bytes t rid ~f =
-  let page, _, pos, len = locate t rid in
-  f (Page_layout.buffer page) ~pos ~len
+  let loc = new_loc () in
+  let page = locate t rid loc in
+  f (Page_layout.buffer page) ~pos:loc.l_pos ~len:loc.l_len
 
 let write_for t (rid : Rid.t) =
   let pid = Page_id.make ~file:rid.Rid.file ~index:rid.Rid.page in

@@ -44,15 +44,27 @@ val insert_with : t -> len:int -> (bytes -> int -> unit) -> Rid.t
     hop. Raises [Not_found] on a dead Rid. *)
 val read : t -> Rid.t -> bytes
 
-(** [locate t rid] resolves [rid] to [(page, slot, pos, len)]: the page
-    object holding the record's body, the physical slot on that page (it
-    differs from [rid.slot] for relocated bodies), and the body's span in
-    the page buffer — following at most one forwarding hop.  Charges are
-    identical to {!read} (one cache fetch per page touched); no copy is
-    made.  The span is valid until the page next compacts; use [slot] with
-    {!Page_layout.record_span} to re-derive it. Raises [Not_found] on a
-    dead Rid. *)
-val locate : t -> Rid.t -> Page_layout.t * int * int * int
+(** Where {!locate} found a record body, filled in place. *)
+type loc = {
+  mutable l_slot : int;
+      (** physical slot on the returned page whose record holds the body;
+          differs from [rid.slot] for relocated bodies *)
+  mutable l_off : int;  (** that record's offset in the page buffer *)
+  mutable l_pos : int;  (** the body's offset in the page buffer *)
+  mutable l_len : int;  (** the body's length *)
+}
+
+(** A fresh [loc]; callers on a hot path keep one and reuse it. *)
+val new_loc : unit -> loc
+
+(** [locate t rid loc] resolves [rid] to the page object holding the
+    record's body and fills [loc] with the body's place on it — following
+    at most one forwarding hop.  Charges are identical to {!read} (one
+    cache fetch per page touched); no copy is made and nothing is
+    allocated.  The span is valid until the page next compacts; use
+    [l_slot] with {!Page_layout.record_offset} to re-derive it.  Raises
+    [Not_found] on a dead Rid. *)
+val locate : t -> Rid.t -> loc -> Page_layout.t
 
 (** [with_record_bytes t rid ~f] runs [f buf ~pos ~len] on the record's
     body in place, with the page pinned for the duration of [f].  [f] must

@@ -203,10 +203,16 @@ let read t slot =
    dirty bit and the version counter stay truthful. *)
 let buffer t = t.buf
 
-let record_span t slot =
+let record_offset t slot =
   check_slot t slot;
   let off = slot_offset t slot in
   if off = 0 then raise Not_found;
+  off
+
+let record_length = slot_length
+
+let record_span t slot =
+  let off = record_offset t slot in
   (off, slot_length t slot)
 
 let record_modified t =

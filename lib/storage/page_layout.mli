@@ -98,6 +98,12 @@ val buffer : t -> Bytes.t
     Raises [Not_found] for dead or out-of-range slots. *)
 val record_span : t -> int -> int * int
 
+(** [record_offset t slot] is [fst (record_span t slot)] without the pair;
+    [record_length t slot] is its second component for a live [slot]. *)
+val record_offset : t -> int -> int
+
+val record_length : t -> int -> int
+
 (** Declare that record bytes were patched through [buffer]: marks the page
     dirty and bumps [version]. *)
 val record_modified : t -> unit

@@ -88,54 +88,21 @@ let encode v =
   assert (final = Bytes.length b);
   b
 
-let decode b ~pos =
-  let rec read pos =
-    if pos >= Bytes.length b then invalid_arg "Codec.decode: truncated";
-    let tag = Bytes.get_uint8 b pos in
-    let pos = pos + 1 in
-    if tag = tag_nil then (Value.Nil, pos)
-    else if tag = tag_int then
-      (Value.Int (Int32.to_int (Bytes.get_int32_le b pos)), pos + 4)
-    else if tag = tag_real then
-      (Value.Real (Int64.float_of_bits (Bytes.get_int64_le b pos)), pos + 8)
-    else if tag = tag_bool then (Value.Bool (Bytes.get_uint8 b pos <> 0), pos + 1)
-    else if tag = tag_char then (Value.Char (Bytes.get b pos), pos + 1)
-    else if tag = tag_string then begin
-      let len = Bytes.get_uint16_le b pos in
-      (Value.String (Bytes.sub_string b (pos + 2) len), pos + 2 + len)
-    end
-    else if tag = tag_ref then
-      (Value.Ref (Tb_storage.Rid.decode b ~pos), pos + Tb_storage.Rid.on_disk_bytes)
-    else if tag = tag_big_set then
-      ( Value.Big_set (Tb_storage.Rid.decode b ~pos),
-        pos + Tb_storage.Rid.on_disk_bytes )
-    else if tag = tag_tuple then begin
-      let n = Bytes.get_uint16_le b pos in
-      let rec fields pos acc = function
-        | 0 -> (Value.Tuple (List.rev acc), pos)
-        | k ->
-            let len = Bytes.get_uint16_le b pos in
-            let name = Bytes.sub_string b (pos + 2) len in
-            let v, pos = read (pos + 2 + len) in
-            fields pos ((name, v) :: acc) (k - 1)
-      in
-      fields (pos + 2) [] n
-    end
-    else if tag = tag_set || tag = tag_list then begin
-      let n = Int32.to_int (Bytes.get_int32_le b pos) in
-      let rec elems pos acc = function
-        | 0 ->
-            let xs = List.rev acc in
-            ((if tag = tag_set then Value.Set xs else Value.List xs), pos)
-        | k ->
-            let v, pos = read pos in
-            elems pos (v :: acc) (k - 1)
-      in
-      elems (pos + 4) [] n
-    end
-    else invalid_arg "Codec.decode: bad tag"
-  in
-  read pos
+(* A value with a scalar tag, [pos] just past the tag. *)
+let scalar b tag pos =
+  if tag = tag_nil then Value.Nil
+  else if tag = tag_int then Value.Int (Int32.to_int (Bytes.get_int32_le b pos))
+  else if tag = tag_real then
+    Value.Real (Int64.float_of_bits (Bytes.get_int64_le b pos))
+  else if tag = tag_bool then Value.Bool (Bytes.get_uint8 b pos <> 0)
+  else if tag = tag_char then Value.Char (Bytes.get b pos)
+  else if tag = tag_string then
+    Value.String (Bytes.sub_string b (pos + 2) (Bytes.get_uint16_le b pos))
+  else if tag = tag_ref then Value.Ref (Tb_storage.Rid.decode b ~pos)
+  else if tag = tag_big_set then Value.Big_set (Tb_storage.Rid.decode b ~pos)
+  else invalid_arg "Codec.decode: bad tag"
+
+let is_compound tag = tag = tag_tuple || tag = tag_set || tag = tag_list
 
 (* Walk over one encoded value without materializing it: the backbone of
    the lazy record view, which only needs the *positions* of a record's
@@ -169,6 +136,46 @@ let rec skip b ~pos =
     !pos
   end
   else invalid_arg "Codec.skip: bad tag"
+
+let rec read b pos =
+  if pos >= Bytes.length b then invalid_arg "Codec.decode: truncated";
+  let tag = Bytes.get_uint8 b pos in
+  if not (is_compound tag) then begin
+    let v = scalar b tag (pos + 1) in
+    (v, skip b ~pos)
+  end
+  else if tag = tag_tuple then begin
+    let n = Bytes.get_uint16_le b (pos + 1) in
+    let rec fields pos acc = function
+      | 0 -> (Value.Tuple (List.rev acc), pos)
+      | k ->
+          let len = Bytes.get_uint16_le b pos in
+          let name = Bytes.sub_string b (pos + 2) len in
+          let v, pos = read b (pos + 2 + len) in
+          fields pos ((name, v) :: acc) (k - 1)
+    in
+    fields (pos + 3) [] n
+  end
+  else begin
+    let n = Int32.to_int (Bytes.get_int32_le b (pos + 1)) in
+    let rec elems pos acc = function
+      | 0 ->
+          let xs = List.rev acc in
+          ((if tag = tag_set then Value.Set xs else Value.List xs), pos)
+      | k ->
+          let v, pos = read b pos in
+          elems pos (v :: acc) (k - 1)
+    in
+    elems (pos + 5) [] n
+  end
+
+let decode b ~pos = read b pos
+
+(* A scalar attribute read allocates only its Value: no position pair. *)
+let decode_value b ~pos =
+  if pos >= Bytes.length b then invalid_arg "Codec.decode: truncated";
+  let tag = Bytes.get_uint8 b pos in
+  if is_compound tag then fst (read b pos) else scalar b tag (pos + 1)
 
 let decode_exn b =
   let v, final = decode b ~pos:0 in

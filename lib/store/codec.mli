@@ -20,6 +20,10 @@ val encode_into : Value.t -> bytes -> pos:int -> int
     Raises [Invalid_argument] on malformed input. *)
 val decode : bytes -> pos:int -> Value.t * int
 
+(** [decode_value b ~pos] is [fst (decode b ~pos)], raising the same way;
+    a scalar allocates nothing but its value. *)
+val decode_value : bytes -> pos:int -> Value.t
+
 (** [skip b ~pos] returns the position one past the value starting at
     [pos] without allocating it — how the lazy record view finds field
     offsets.  Raises [Invalid_argument] on malformed input. *)

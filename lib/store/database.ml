@@ -32,6 +32,7 @@ type t = {
   mutable checkpoint : ckpt;
   mutable pending_ckpt : ckpt option;
   mutable on_commit : (seq:int -> unit) option;
+  loc : Heap_file.loc;  (* scratch for every [Heap_file.locate] below *)
 }
 
 let register_file t heap =
@@ -110,6 +111,7 @@ let create sim ~schema ~server_pages ~client_pages
         };
       pending_ckpt = None;
       on_commit = None;
+      loc = Heap_file.new_loc ();
     }
   in
   ignore (register_file t t.collections);
@@ -143,9 +145,10 @@ let class_file t ~cls =
   | None -> raise Not_found
 
 let heap_of_rid t (rid : Rid.t) =
-  match Hashtbl.find_opt t.files_by_id rid.Rid.file with
-  | Some heap -> heap
-  | None -> invalid_arg "Database: rid belongs to no registered file"
+  match Hashtbl.find t.files_by_id rid.Rid.file with
+  | heap -> heap
+  | exception Not_found ->
+      invalid_arg "Database: rid belongs to no registered file"
 
 (* Spill oversized inline collections into the collection file.  A value
    with nothing to spill comes back as itself, not as a rebuilt copy. *)
@@ -259,23 +262,25 @@ let read_object t rid = decode_object t.schema (Heap_file.read (heap_of_rid t ri
    attributes start — no body copy, no offsets table, no header slots array.
    Attribute reads skip-walk the page bytes from [p_body] on demand.  The
    charge sequence is identical to the old copy-out load (locate fetches
-   the same pages [Heap_file.read] did); only host work changes. *)
-let acquire t rid =
-  Handle_table.acquire t.handles rid ~load:(fun () ->
-      let page, slot, pos, _len = Heap_file.locate (heap_of_rid t rid) rid in
-      let span_off, _ = Tb_storage.Page_layout.record_span page slot in
-      let buf = Tb_storage.Page_layout.buffer page in
-      let class_id = Obj_header.peek_class_id buf ~pos in
-      let body = Obj_header.skip buf ~pos in
-      ( class_id,
-        Handle.Packed
-          {
-            Handle.p_page = page;
-            p_slot = slot;
-            p_delta = body - span_off;
-            p_version = Tb_storage.Page_layout.version page;
-            p_body = body;
-          } ))
+   the same pages [Heap_file.read] did); only host work changes.  A
+   toplevel loader over [t] keeps [acquire] free of a per-call closure. *)
+let load_packed t rid ~mem_bytes =
+  let page = Heap_file.locate (heap_of_rid t rid) rid t.loc in
+  let buf = Tb_storage.Page_layout.buffer page in
+  let pos = t.loc.Heap_file.l_pos in
+  let body = Obj_header.skip buf ~pos in
+  Handle.make ~rid ~class_id:(Obj_header.peek_class_id buf ~pos) ~mem_bytes
+    ~repr:
+      (Handle.Packed
+         {
+           Handle.p_page = page;
+           p_slot = t.loc.Heap_file.l_slot;
+           p_delta = body - t.loc.Heap_file.l_off;
+           p_version = Tb_storage.Page_layout.version page;
+           p_body = body;
+         })
+
+let acquire t rid = Handle_table.acquire t.handles rid ~load:load_packed t
 
 let unref t h = Handle_table.unreference t.handles h
 
@@ -289,7 +294,7 @@ let unref t h = Handle_table.unreference t.handles h
 let packed_buf (p : Handle.packed) =
   let v = Tb_storage.Page_layout.version p.Handle.p_page in
   if v <> p.Handle.p_version then begin
-    let off, _ = Tb_storage.Page_layout.record_span p.Handle.p_page p.Handle.p_slot in
+    let off = Tb_storage.Page_layout.record_offset p.Handle.p_page p.Handle.p_slot in
     p.Handle.p_body <- off + p.Handle.p_delta;
     p.Handle.p_version <- v
   end;
@@ -304,7 +309,7 @@ let get_att_slot t h slot =
       for _ = 1 to slot do
         pos := Codec.skip buf ~pos:!pos
       done;
-      fst (Codec.decode buf ~pos:!pos)
+      Codec.decode_value buf ~pos:!pos
   | Handle.Whole (Value.Tuple fields) -> snd (List.nth fields slot)
   | Handle.Whole _ -> invalid_arg "Database.get_att_slot: not a tuple"
 
@@ -312,6 +317,8 @@ let get_att_slot t h slot =
    with [body] the offset of the first attribute, or [None] when the handle
    was materialized (e.g. by an update) and callers must take the decoded
    path. *)
+let packed_bytes (_t : t) p = packed_buf p
+
 let packed_body (_t : t) h =
   match h.Handle.repr with
   | Handle.Packed p -> Some (packed_buf p, p.Handle.p_body)
@@ -354,7 +361,8 @@ let class_name t h = (Schema.class_of_id t.schema h.Handle.class_id).Schema.cls_
    bytes [Heap_file.locate] returned — the same fetches [Heap_file.read]
    made — with the header decoded and the class resolved on the way. *)
 let locate_keys t heap rid =
-  let page, _, pos, _ = Heap_file.locate heap rid in
+  let page = Heap_file.locate heap rid t.loc in
+  let pos = t.loc.Heap_file.l_pos in
   let buf = Tb_storage.Page_layout.buffer page in
   let header, body = Obj_header.decode buf ~pos in
   let class_id = Obj_header.class_id header in
@@ -554,7 +562,8 @@ let create_index t ~name ~cls ~attr =
      never shows in a charge. *)
   let run = ref [] in
   scan_extent t ~cls (fun rid ->
-      let page, _, pos, len = Heap_file.locate heap rid in
+      let page = Heap_file.locate heap rid t.loc in
+      let pos = t.loc.Heap_file.l_pos and len = t.loc.Heap_file.l_len in
       let buf = Tb_storage.Page_layout.buffer page in
       let body = Obj_header.skip buf ~pos in
       run := (key_at buf ~body key_slot, rid) :: !run;

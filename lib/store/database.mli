@@ -82,6 +82,12 @@ val get_att_slot : t -> Handle.t -> int -> Value.t
     execution path ({!Tb_query.Packed}) evaluates on these bytes. *)
 val packed_body : t -> Handle.t -> (bytes * int) option
 
+(** [packed_bytes t p] is the page buffer of a packed handle's record,
+    with [p.p_body] brought up to date against it first: {!packed_body}
+    without the option and the pair, for callers that match the handle's
+    repr themselves on a per-row path. *)
+val packed_bytes : t -> Handle.packed -> bytes
+
 (** [with_record_bytes t rid ~f] runs [f buf ~pos ~len] over the record's
     body bytes in place, pinning the page for the duration of [f] and
     charging exactly what the Handle-path page access would (one cache

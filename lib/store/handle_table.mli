@@ -16,12 +16,18 @@ val create : Tb_sim.Sim.t -> kind:Tb_sim.Cost_model.handle_kind -> zombie_limit:
 
 val kind : t -> Tb_sim.Cost_model.handle_kind
 
-(** [acquire t rid ~load] returns the object's Handle with its refcount
-    bumped.  A resident Handle (live or zombie) is reused for almost
-    nothing; otherwise a new one is allocated (charged) and [load] is called
-    to produce the object's representation (usually a {!Handle.Packed}). *)
+(** [acquire t rid ~load ctx] returns the object's Handle with its
+    refcount bumped.  A resident Handle (live or zombie) is reused for
+    almost nothing; otherwise a new one is allocated (charged, then its
+    [mem_bytes] claimed) and [load ctx rid ~mem_bytes] builds it (usually
+    {!Handle.make} over a {!Handle.Packed}).  If [load] raises, the claim
+    is released and the exception propagates; nothing becomes resident. *)
 val acquire :
-  t -> Tb_storage.Rid.t -> load:(unit -> int * Handle.repr) -> Handle.t
+  t ->
+  Tb_storage.Rid.t ->
+  load:('ctx -> Tb_storage.Rid.t -> mem_bytes:int -> Handle.t) ->
+  'ctx ->
+  Handle.t
 
 (** [unreference t h] drops one reference; at zero the Handle becomes a
     zombie and may be destroyed later. Raises [Invalid_argument] if the

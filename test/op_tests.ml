@@ -310,6 +310,104 @@ let test_merge_leak_on_raise () =
   check_int "no claim residue per failing run" after_first
     (Sim.working_bytes sim)
 
+(* --- Handle spans release on a raise --- *)
+
+(* Each per-row Handle span (Fetch in both modes, Nav_set, Nav_inverse)
+   must drop its reference when the row's downstream work raises.  The
+   projection names an attribute the class lacks, so the first row to
+   reach it raises while every upstream span is open. *)
+let test_handle_spans_release_on_raise () =
+  let b = small_built () in
+  let db = b.Generator.db in
+  let sim = Database.sim db in
+  let fetch ?(mode = Op.Handle) cls var =
+    Op.make
+      (Op.Fetch
+         {
+           child = Op.make (Op.Seq_scan { cls });
+           cls;
+           var;
+           preds = [];
+           covering = false;
+           mode;
+           batch = 256;
+         })
+  in
+  let failing child var =
+    Op.make
+      (Op.Materialize
+         {
+           child =
+             Op.make
+               (Op.Project
+                  { child; select = Oql_ast.Path (var, "nonexistent") });
+           aggregate = None;
+         })
+  in
+  let trees =
+    [
+      ("fetch mode=handle", failing (fetch Derby.patient_cls "pa") "pa");
+      ( "fetch mode=packed",
+        failing (fetch ~mode:Op.Packed Derby.patient_cls "pa") "pa" );
+      ( "nav_set",
+        failing
+          (Op.make
+             (Op.Nav_set
+                {
+                  child = fetch Derby.provider_cls "p";
+                  set_attr = "clients";
+                  owner_cls = Derby.provider_cls;
+                  nav_var = "pa";
+                  nav_cls = Derby.patient_cls;
+                  preds = [];
+                }))
+          "pa" );
+      ( "nav_inverse",
+        failing
+          (Op.make
+             (Op.Nav_inverse
+                {
+                  child = fetch Derby.patient_cls "pa";
+                  inv_attr = "primary_care_provider";
+                  owner_cls = Derby.patient_cls;
+                  nav_var = "p";
+                  nav_cls = Derby.provider_cls;
+                  preds = [];
+                }))
+          "p" );
+    ]
+  in
+  let handles = Database.handles db in
+  let all_unreferenced () =
+    Array.for_all
+      (fun rid ->
+        match Tb_store.Handle_table.find_resident handles rid with
+        | None -> true
+        | Some h -> h.Tb_store.Handle.refcount = 0)
+      (Array.append b.Generator.providers b.Generator.patients)
+  in
+  List.iter
+    (fun (name, tree) ->
+      Database.cold_restart db;
+      let failing_run () =
+        match Exec.run db tree ~keep:false with
+        | exception Invalid_argument _ -> ()
+        | r ->
+            Query_result.dispose r;
+            Alcotest.fail (name ^ ": expected the projection to raise")
+      in
+      failing_run ();
+      check_bool (name ^ ": handles resident") true
+        (Tb_store.Handle_table.resident_count handles > 0);
+      check_bool (name ^ ": every handle unreferenced") true
+        (all_unreferenced ());
+      let after_first = Sim.working_bytes sim in
+      failing_run ();
+      check_int (name ^ ": working set at a fixpoint") after_first
+        (Sim.working_bytes sim);
+      check_bool (name ^ ": still unreferenced") true (all_unreferenced ()))
+    trees
+
 (* --- explain invariance: frames always reconcile with the counters --- *)
 
 let test_reconciliation () =
@@ -348,6 +446,8 @@ let suite =
       test_sorted_rids_leak_on_raise;
     Alcotest.test_case "merge: no leak when one side fails" `Quick
       test_merge_leak_on_raise;
+    Alcotest.test_case "handle spans: released when a row raises" `Quick
+      test_handle_spans_release_on_raise;
     Alcotest.test_case "explain frames reconcile with global counters" `Quick
       test_reconciliation;
   ]

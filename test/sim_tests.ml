@@ -129,6 +129,28 @@ let test_excess_ratio () =
   Sim.release_bytes sim (2 * avail);
   check_float "released" 0.0 (Sim.excess_ratio sim)
 
+(* [over_budget] is [excess_ratio > 0.0] after every step of a random
+   claim/release sequence.  Budgets and claims are drawn from the same
+   small range, so the working set often lands exactly on the budget, and
+   a budget of none at all ([available_bytes] 0: RAM at or below the
+   reserve) comes up often too. *)
+let over_budget_matches_excess_ratio =
+  QCheck.Test.make ~name:"over_budget = excess_ratio > 0" ~count:500
+    QCheck.(
+      triple (int_range 0 48) (int_range 0 48)
+        (small_list (pair bool (int_range 0 16))))
+    (fun (ram_bytes, reserved_bytes, steps) ->
+      let sim =
+        Sim.create { Cost_model.default with Cost_model.ram_bytes; reserved_bytes }
+      in
+      let agrees () = Sim.over_budget sim = (Sim.excess_ratio sim > 0.0) in
+      agrees ()
+      && List.for_all
+           (fun (claim, n) ->
+             if claim then Sim.claim_bytes sim n else Sim.release_bytes sim n;
+             agrees ())
+           steps)
+
 let test_counters_diff () =
   let sim = Sim.create Cost_model.default in
   Sim.charge_disk_read sim;
@@ -165,6 +187,7 @@ let suite =
     Alcotest.test_case "swap: sequential spill cheaper than thrash" `Quick
       test_swap_sequential_is_cheaper;
     Alcotest.test_case "excess ratio" `Quick test_excess_ratio;
+    Prop.to_alcotest over_budget_matches_excess_ratio;
     Alcotest.test_case "counters: diff" `Quick test_counters_diff;
     Alcotest.test_case "counters: miss rates" `Quick test_miss_rates;
   ]

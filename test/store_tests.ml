@@ -71,6 +71,44 @@ let codec_roundtrip =
       && Value.equal v (Codec.decode_exn b)
       && Codec.skip b ~pos:0 = Bytes.length b)
 
+(* [decode_value] is [fst (decode ...)] on every tag, raising alike on
+   truncated input and on a bad tag. *)
+let decode_value_matches_decode =
+  let outcome f =
+    match f () with v -> Some v | exception Invalid_argument _ -> None
+  in
+  let same b ~pos =
+    match
+      ( outcome (fun () -> fst (Codec.decode b ~pos)),
+        outcome (fun () -> Codec.decode_value b ~pos) )
+    with
+    | Some a, Some b -> Value.equal a b
+    | None, None -> true
+    | Some _, None | None, Some _ -> false
+  in
+  let gen =
+    QCheck.Gen.(
+      triple
+        (oneof
+           [
+             value_gen;
+             map
+               (fun p -> Value.Big_set (Rid.make ~file:1 ~page:p ~slot:0))
+               (int_range 0 1000);
+           ])
+        nat (int_range 11 255))
+  in
+  QCheck.Test.make ~name:"codec: decode_value = fst decode" ~count:500
+    (QCheck.make gen ~print:(fun (v, _, _) -> Format.asprintf "%a" Value.pp v))
+    (fun (v, cut, bad) ->
+      let b = Codec.encode v in
+      let len = Bytes.length b in
+      let truncated = Bytes.sub b 0 (cut mod len) in
+      let bad_tag = Bytes.copy b in
+      Bytes.set_uint8 bad_tag 0 bad;
+      same b ~pos:0 && same truncated ~pos:0 && same bad_tag ~pos:0
+      && same b ~pos:len)
+
 let test_codec_every_constructor () =
   (* One value per constructor — including [Big_set], which the generator
      above never produces — must round-trip, and [skip] must consume
@@ -272,26 +310,29 @@ let test_header_in_place_matches_add_index () =
 
 (* --- Handle table --- *)
 
-let dummy_load () = (0, Handle.Whole (Value.Int 1))
+let dummy_load () rid ~mem_bytes =
+  Handle.make ~rid ~class_id:0 ~repr:(Handle.Whole (Value.Int 1)) ~mem_bytes
+
+let no_reload () _ ~mem_bytes:_ = Alcotest.fail "reload"
 
 let test_handles_refcount_and_zombies () =
   let sim = fresh_sim () in
   let tbl = Handle_table.create sim ~kind:Tb_sim.Cost_model.Fat ~zombie_limit:2 in
   let rid i = Rid.make ~file:0 ~page:i ~slot:0 in
-  let h0 = Handle_table.acquire tbl (rid 0) ~load:dummy_load in
+  let h0 = Handle_table.acquire tbl (rid 0) ~load:dummy_load () in
   check_int "one alloc" 1 sim.Tb_sim.Sim.counters.Tb_sim.Counters.handle_allocs;
-  let h0' = Handle_table.acquire tbl (rid 0) ~load:(fun () -> Alcotest.fail "reload") in
+  let h0' = Handle_table.acquire tbl (rid 0) ~load:no_reload () in
   check_bool "same handle" true (h0 == h0');
   check_int "hit counted" 1 sim.Tb_sim.Sim.counters.Tb_sim.Counters.handle_hits;
   Handle_table.unreference tbl h0;
   Handle_table.unreference tbl h0';
   (* Zombie: resurrecting is free. *)
-  let h0'' = Handle_table.acquire tbl (rid 0) ~load:(fun () -> Alcotest.fail "reload") in
+  let h0'' = Handle_table.acquire tbl (rid 0) ~load:no_reload () in
   check_int "still one alloc" 1 sim.Tb_sim.Sim.counters.Tb_sim.Counters.handle_allocs;
   Handle_table.unreference tbl h0'';
   (* Push enough zombies to force real frees. *)
   for i = 1 to 5 do
-    let h = Handle_table.acquire tbl (rid i) ~load:dummy_load in
+    let h = Handle_table.acquire tbl (rid i) ~load:dummy_load () in
     Handle_table.unreference tbl h
   done;
   check_bool "delayed frees happened" true
@@ -301,7 +342,7 @@ let test_handles_refcount_and_zombies () =
 let test_handles_double_unref_rejected () =
   let sim = fresh_sim () in
   let tbl = Handle_table.create sim ~kind:Tb_sim.Cost_model.Fat ~zombie_limit:8 in
-  let h = Handle_table.acquire tbl (Rid.make ~file:0 ~page:0 ~slot:0) ~load:dummy_load in
+  let h = Handle_table.acquire tbl (Rid.make ~file:0 ~page:0 ~slot:0) ~load:dummy_load () in
   Handle_table.unreference tbl h;
   check_bool "double unref raises" true
     (match Handle_table.unreference tbl h with
@@ -314,7 +355,7 @@ let test_handles_memory_accounting () =
   let before = Tb_sim.Sim.working_bytes sim in
   let hs =
     List.init 10 (fun i ->
-        Handle_table.acquire tbl (Rid.make ~file:0 ~page:i ~slot:0) ~load:dummy_load)
+        Handle_table.acquire tbl (Rid.make ~file:0 ~page:i ~slot:0) ~load:dummy_load ())
   in
   check_int "60 bytes per fat handle" (before + 600) (Tb_sim.Sim.working_bytes sim);
   List.iter (Handle_table.unreference tbl) hs;
@@ -327,7 +368,7 @@ let test_compact_handles_cheaper () =
     let tbl = Handle_table.create sim ~kind ~zombie_limit:0 in
     for i = 1 to 1000 do
       let h =
-        Handle_table.acquire tbl (Rid.make ~file:0 ~page:i ~slot:0) ~load:dummy_load
+        Handle_table.acquire tbl (Rid.make ~file:0 ~page:i ~slot:0) ~load:dummy_load ()
       in
       Handle_table.unreference tbl h
     done;
@@ -335,6 +376,70 @@ let test_compact_handles_cheaper () =
   in
   check_bool "fat handles dominate CPU" true
     (run Tb_sim.Cost_model.Fat > 5.0 *. run Tb_sim.Cost_model.Compact)
+
+(* The zombie ring against a reference FIFO built on [Queue]: random
+   acquire/unref sequences over a few Rids must produce the same alloc,
+   free and hit counts and the same resident count after every step.  A
+   limit of 64 with long sequences of repeated pushes grows the ring past
+   its initial capacity; small limits wrap it around. *)
+let zombie_ring_matches_queue_model =
+  let gen =
+    QCheck.Gen.(
+      pair (oneofl [ 0; 1; 2; 7; 64 ])
+        (list_size (int_range 0 400) (pair bool (int_range 0 7))))
+  in
+  QCheck.Test.make ~name:"handles: zombie ring = Queue model" ~count:200
+    (QCheck.make gen)
+    (fun (zombie_limit, steps) ->
+      let sim = fresh_sim () in
+      let tbl = Handle_table.create sim ~kind:Tb_sim.Cost_model.Fat ~zombie_limit in
+      let rid i = Rid.make ~file:0 ~page:i ~slot:0 in
+      let held = Array.make 8 [] in
+      (* The model: refcounts of resident rids, a Queue of zombies. *)
+      let refs = Hashtbl.create 8 and fifo = Queue.create () in
+      let allocs = ref 0 and frees = ref 0 and hits = ref 0 in
+      let model_acquire i =
+        match Hashtbl.find_opt refs i with
+        | Some n ->
+            incr hits;
+            Hashtbl.replace refs i (n + 1)
+        | None ->
+            incr allocs;
+            Hashtbl.replace refs i 1
+      in
+      let model_unref i =
+        let n = Hashtbl.find refs i - 1 in
+        Hashtbl.replace refs i n;
+        if n = 0 then begin
+          Queue.push i fifo;
+          while Queue.length fifo > zombie_limit do
+            let j = Queue.pop fifo in
+            if Hashtbl.find_opt refs j = Some 0 then begin
+              Hashtbl.remove refs j;
+              incr frees
+            end
+          done
+        end
+      in
+      let c = sim.Tb_sim.Sim.counters in
+      List.for_all
+        (fun (acquire, i) ->
+          (if acquire then begin
+             held.(i) <- Handle_table.acquire tbl (rid i) ~load:dummy_load () :: held.(i);
+             model_acquire i
+           end
+           else
+             match held.(i) with
+             | h :: rest ->
+                 held.(i) <- rest;
+                 Handle_table.unreference tbl h;
+                 model_unref i
+             | [] -> ());
+          c.Tb_sim.Counters.handle_allocs = !allocs
+          && c.Tb_sim.Counters.handle_frees = !frees
+          && c.Tb_sim.Counters.handle_hits = !hits
+          && Handle_table.resident_count tbl = Hashtbl.length refs)
+        steps)
 
 (* --- Big collections --- *)
 
@@ -684,6 +789,22 @@ let test_db_insert_and_read () =
   check_string "class name" "Patient" (Database.class_name db h);
   Database.unref db h
 
+let test_db_dangling_acquire_releases_claim () =
+  (* Acquiring a deleted object charges the Handle alloc and claims its
+     bytes before the locate finds nothing; the claim must not outlive the
+     raise. *)
+  let sim, db = mk_db () in
+  let prid = Database.insert_object db ~cls:"Provider" (provider "Gone" 1) in
+  Database.delete_object db prid;
+  let before = Tb_sim.Sim.working_bytes sim in
+  check_bool "acquire of a dangling rid raises" true
+    (match Database.acquire db prid with
+    | exception Not_found -> true
+    | _ -> false);
+  check_int "claim released" before (Tb_sim.Sim.working_bytes sim);
+  check_int "nothing resident" 0
+    (Handle_table.resident_count (Database.handles db))
+
 let test_db_lazy_handle_matches_read_object () =
   (* A Handle decodes attributes on demand; whatever the access order, what
      it returns must agree with the eager [read_object] decode. *)
@@ -848,6 +969,7 @@ let suite =
   [
     Alcotest.test_case "value: fields" `Quick test_value_field;
     Prop.to_alcotest codec_roundtrip;
+    Prop.to_alcotest decode_value_matches_decode;
     Alcotest.test_case "codec: every constructor roundtrips and skips" `Quick
       test_codec_every_constructor;
     Alcotest.test_case "codec: paper byte sizes" `Quick test_codec_int_is_4_bytes;
@@ -867,6 +989,7 @@ let suite =
       test_handles_double_unref_rejected;
     Alcotest.test_case "handles: memory accounting" `Quick
       test_handles_memory_accounting;
+    Prop.to_alcotest zombie_ring_matches_queue_model;
     Alcotest.test_case "handles: compact kind is cheaper" `Quick
       test_compact_handles_cheaper;
     Alcotest.test_case "big collection: roundtrip" `Quick
@@ -894,6 +1017,8 @@ let suite =
     Alcotest.test_case "txn: load mode skips the log" `Quick
       test_txn_load_mode_free;
     Alcotest.test_case "db: insert/read/handle" `Quick test_db_insert_and_read;
+    Alcotest.test_case "db: dangling acquire releases its claim" `Quick
+      test_db_dangling_acquire_releases_claim;
     Alcotest.test_case "db: index build writes headers in place" `Quick
       test_db_index_build_in_place;
     Alcotest.test_case "db: lazy handle matches read_object" `Quick
