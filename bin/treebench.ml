@@ -282,6 +282,14 @@ let query_cmd =
   in
   let run oql scale shape org algo seq sorted show explain optimize shards
       replicas chaos_seed =
+    (* Reject malformed OQL before building a database for it. *)
+    (match Tb_query.Oql_parser.parse oql with
+    | _ -> ()
+    | exception
+        ( Tb_query.Oql_lexer.Lex_error msg
+        | Tb_query.Oql_parser.Parse_error msg ) ->
+        Printf.eprintf "treebench: bad query: %s\n" msg;
+        exit 2);
     if shards < 1 then begin
       Printf.eprintf "treebench: --shards expects a positive count\n";
       exit 2

@@ -56,8 +56,8 @@ let shards t = Array.length t.rows
    tag and still meet on the same destination lane. *)
 let retag ~shard rid =
   Rid.make
-    ~file:((shard * 0x10000) + rid.Rid.file)
-    ~page:rid.Rid.page ~slot:rid.Rid.slot
+    ~file:((shard * 0x10000) + Rid.file rid)
+    ~page:(Rid.page rid) ~slot:(Rid.slot rid)
 
 let dest_of t key = Rid.hash key mod Array.length t.rows
 

@@ -29,131 +29,79 @@ let live_of_env = function
   | [ (_, Op.Live h) ] -> h
   | _ -> invalid_arg "Exec: operator expects one Handle-backed variable"
 
-(* --- Rid streams --- *)
+(* --- Rid streams ---
 
-let rec iter_rids st node emit =
+   The vector-at-a-time feed for Fetch: Rids travel as array slices
+   [(rids, off, len)] of at most [batch], and the producer's frame is
+   re-entered once per slice instead of once per row.  Slices never
+   straddle a page boundary (Seq_scan feeds page by page via
+   [Database.cursor_next_page]), so interleaving the consumer's per-row
+   page accesses with the producer's page fetches keeps the exact charge
+   order of a row-at-a-time stream — batching is charge-order-preserving
+   by construction and needs no planner eligibility rules.  A slice is
+   valid only until [emit] returns: the producers reuse their arrays. *)
+
+(* Emit [rids.(off) .. rids.(off + len - 1)] in [batch]-sized slices,
+   bumping rows_out per slice. *)
+let emit_rid_chunks st fr ~batch rids off len emit =
+  let stop = off + len in
+  let rec go i =
+    if i < stop then begin
+      let n = min batch (stop - i) in
+      fr.Op.rows_out <- fr.Op.rows_out + n;
+      emit rids i n;
+      Op.Acct.enter st.acct fr;
+      go (i + n)
+    end
+  in
+  go off
+
+let rec iter_rid_batches st ~batch node emit =
   let fr = node.Op.frame in
   match node.Op.kind with
   | Op.Seq_scan { cls } ->
       Op.Acct.enter st.acct fr;
       let cur = Database.scan_cursor st.db ~cls in
-      let rec go () =
-        match Database.cursor_next cur with
-        | Some rid ->
-            fr.Op.rows_out <- fr.Op.rows_out + 1;
-            emit rid;
-            Op.Acct.enter st.acct fr;
-            go ()
-        | None -> ()
-      in
-      go ()
+      let page rids off len = emit_rid_chunks st fr ~batch rids off len emit in
+      while Database.cursor_next_page cur page do
+        ()
+      done
   | Op.Index_scan { index; lo; hi } ->
-      Op.Acct.enter st.acct fr;
-      Tb_store.Btree.range index.Tb_store.Index_def.tree ?lo ?hi (fun _ rid ->
-          fr.Op.rows_out <- fr.Op.rows_out + 1;
-          emit rid;
-          Op.Acct.enter st.acct fr)
-  | Op.Sort_rids { child } ->
-      let rids = ref [] in
-      let n = ref 0 in
-      iter_rids st child (fun rid ->
-          rids := rid :: !rids;
-          incr n);
-      Op.Acct.enter st.acct fr;
-      fr.Op.rows_in <- !n;
-      fr.Op.bytes <- !n * Rid.on_disk_bytes;
-      Operators.sorted_rids (Database.sim st.db) ~rids:!rids ~count:!n
-        (fun rid ->
-          fr.Op.rows_out <- fr.Op.rows_out + 1;
-          emit rid;
-          Op.Acct.enter st.acct fr)
-  | _ -> invalid_arg "Exec: operator does not produce Rids"
-
-(* --- batched Rid streams ---
-
-   The vector-at-a-time feed for Fetch: Rids arrive in chunks of at most
-   [batch], and the producer's frame is re-entered once per chunk instead
-   of once per row.  Chunks never straddle a page boundary (Seq_scan feeds
-   page by page via [Database.cursor_next_page]), so interleaving the
-   consumer's per-row page accesses with the producer's page fetches keeps
-   the exact charge order of the row-at-a-time stream — batching is
-   charge-order-preserving by construction and needs no planner
-   eligibility rules. *)
-
-(* Emit [rids] in [batch]-sized chunks, bumping rows_out per chunk. *)
-and emit_rid_chunks st fr ~batch rids emit =
-  match rids with
-  | [] -> ()
-  | _ when List.compare_length_with rids batch <= 0 ->
-      fr.Op.rows_out <- fr.Op.rows_out + List.length rids;
-      emit rids;
-      Op.Acct.enter st.acct fr
-  | _ ->
-      let rec split n acc rest =
-        match rest with
-        | _ when n = 0 -> (List.rev acc, rest)
-        | [] -> (List.rev acc, [])
-        | rid :: tl -> split (n - 1) (rid :: acc) tl
-      in
-      let chunk, rest = split batch [] rids in
-      fr.Op.rows_out <- fr.Op.rows_out + List.length chunk;
-      emit chunk;
-      Op.Acct.enter st.acct fr;
-      emit_rid_chunks st fr ~batch rest emit
-
-and iter_rid_batches st ~batch node emit =
-  let fr = node.Op.frame in
-  match node.Op.kind with
-  | Op.Seq_scan { cls } ->
-      Op.Acct.enter st.acct fr;
-      let cur = Database.scan_cursor st.db ~cls in
-      let rec go () =
-        match Database.cursor_next_page cur with
-        | Some rids ->
-            emit_rid_chunks st fr ~batch rids emit;
-            go ()
-        | None -> ()
-      in
-      go ()
-  | Op.Index_scan { index; lo; hi } ->
-      (* Index entries surface one at a time; singleton chunks keep the
+      (* Index entries surface one at a time; one-Rid slices keep the
          per-row tree-page fetches interleaved exactly as before. *)
       Op.Acct.enter st.acct fr;
+      let one = Array.make 1 Rid.nil in
       Tb_store.Btree.range index.Tb_store.Index_def.tree ?lo ?hi (fun _ rid ->
+          one.(0) <- rid;
           fr.Op.rows_out <- fr.Op.rows_out + 1;
-          emit [ rid ];
+          emit one 0 1;
           Op.Acct.enter st.acct fr)
   | Op.Sort_rids { child } ->
-      let rids = ref [] in
+      (* The child's whole stream is collected before the sort, so its
+         slices can be as long as its pages. *)
+      let rids = ref (Array.make 64 Rid.nil) in
       let n = ref 0 in
-      iter_rids st child (fun rid ->
-          rids := rid :: !rids;
-          incr n);
+      iter_rid_batches st ~batch:max_int child (fun src off len ->
+          if !n + len > Array.length !rids then begin
+            let bigger = Array.make (max (2 * !n) (!n + len)) Rid.nil in
+            Array.blit !rids 0 bigger 0 !n;
+            rids := bigger
+          end;
+          Array.blit src off !rids !n len;
+          n := !n + len);
       Op.Acct.enter st.acct fr;
       fr.Op.rows_in <- !n;
       fr.Op.bytes <- !n * Rid.on_disk_bytes;
-      (* Chunk emission happens inside the claim window, so the buffer
-         release still follows the last emitted row as it always did. *)
+      (* Emission happens inside the claim window, so the buffer release
+         still follows the last emitted row as it always did. *)
       Operators.with_sorted_rids (Database.sim st.db) ~rids:!rids ~count:!n
-        (fun arr ->
-          let len = Array.length arr in
-          let i = ref 0 in
-          while !i < len do
-            let stop = min len (!i + batch) in
-            let chunk = ref [] in
-            for j = stop - 1 downto !i do
-              chunk := arr.(j) :: !chunk
-            done;
-            fr.Op.rows_out <- fr.Op.rows_out + (stop - !i);
-            emit !chunk;
-            Op.Acct.enter st.acct fr;
-            i := stop
-          done)
+        (fun sorted ->
+          emit_rid_chunks st fr ~batch sorted 0 (Array.length sorted) emit)
   | _ -> invalid_arg "Exec: operator does not produce Rids"
 
 (* --- binding streams: (var, source) environments --- *)
 
-and iter_envs st node emit =
+let rec iter_envs st node emit =
   let db = st.db in
   let fr = node.Op.frame in
   match node.Op.kind with
@@ -162,15 +110,14 @@ and iter_envs st node emit =
         (* Identity-only projection with no residual predicates: no
            Handle traffic at all (Section 5's remark that navigation need
            not read patients when returning objects). *)
-        iter_rid_batches st ~batch child (fun rids ->
-            List.iter
-              (fun rid ->
-                Op.Acct.enter st.acct fr;
-                fr.Op.rows_in <- fr.Op.rows_in + 1;
-                fr.Op.rows_out <- fr.Op.rows_out + 1;
-                emit [ (var, Op.Stored { Op.self = rid; attrs = [] }) ];
-                Op.Acct.enter st.acct fr)
-              rids)
+        iter_rid_batches st ~batch child (fun rids off len ->
+            for i = off to off + len - 1 do
+              Op.Acct.enter st.acct fr;
+              fr.Op.rows_in <- fr.Op.rows_in + 1;
+              fr.Op.rows_out <- fr.Op.rows_out + 1;
+              emit [ (var, Op.Stored { Op.self = rids.(i); attrs = [] }) ];
+              Op.Acct.enter st.acct fr
+            done)
       else begin
         (* Emission stays inline per row in both modes: deferring it past
            the batch would reorder Handle releases against downstream
@@ -194,24 +141,23 @@ and iter_envs st node emit =
                 | Handle.Whole _ ->
                     Operators.eval_preds db h (Lazy.force cpreds))
         in
-        iter_rid_batches st ~batch child (fun rids ->
-            List.iter
-              (fun rid ->
-                Op.Acct.enter st.acct fr;
-                fr.Op.rows_in <- fr.Op.rows_in + 1;
-                let h = Database.acquire db rid in
-                match
-                  if eval h then begin
-                    fr.Op.rows_out <- fr.Op.rows_out + 1;
-                    emit [ (var, Op.Live h) ];
-                    Op.Acct.enter st.acct fr
-                  end
-                with
-                | () -> Database.unref db h
-                | exception e ->
-                    Database.unref db h;
-                    raise e)
-              rids)
+        iter_rid_batches st ~batch child (fun rids off len ->
+            for i = off to off + len - 1 do
+              Op.Acct.enter st.acct fr;
+              fr.Op.rows_in <- fr.Op.rows_in + 1;
+              let h = Database.acquire db rids.(i) in
+              match
+                if eval h then begin
+                  fr.Op.rows_out <- fr.Op.rows_out + 1;
+                  emit [ (var, Op.Live h) ];
+                  Op.Acct.enter st.acct fr
+                end
+              with
+              | () -> Database.unref db h
+              | exception e ->
+                  Database.unref db h;
+                  raise e
+            done)
       end
   | Op.Nav_set { child; set_attr; owner_cls; nav_var; nav_cls; preds } ->
       let set_slot = Database.attr_slot db ~cls:owner_cls set_attr in

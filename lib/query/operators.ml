@@ -142,12 +142,11 @@ let with_sorted_rids sim ~rids ~count f =
     ~finally:(fun () -> Sim.release_bytes sim claim)
     (fun () ->
       Sim.charge_sort sim count;
-      let arr = Array.of_list rids in
+      let arr =
+        if count = Array.length rids then rids else Array.sub rids 0 count
+      in
       Array.sort Rid.compare arr;
       f arr)
-
-let sorted_rids sim ~rids ~count f =
-  with_sorted_rids sim ~rids ~count (fun arr -> Array.iter f arr)
 
 (* External-sort accounting: [n log n] comparisons, plus write+read passes
    when the run does not fit in memory. *)

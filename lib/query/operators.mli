@@ -59,21 +59,17 @@ val compile_key :
   Tb_storage.Rid.t option
 
 (** [with_sorted_rids sim ~rids ~count f] claims the Rid buffer, charges
-    the sort, hands [f] the sorted array inside the claim window and
-    releases the claim — also when [f] raises ([Fun.protect]), so a failed
-    query cannot leak simulated RAM.  The vectorized executor chunks its
-    emission from within [f]. *)
+    the sort, hands [f] the first [count] Rids of [rids] sorted into
+    physical order inside the claim window and releases the claim — also
+    when [f] raises ([Fun.protect]), so a failed query cannot leak
+    simulated RAM.  [rids] is sorted in place when it holds exactly
+    [count] Rids.  The executor chunks its emission from within [f]. *)
 val with_sorted_rids :
   Tb_sim.Sim.t ->
-  rids:Tb_storage.Rid.t list ->
+  rids:Tb_storage.Rid.t array ->
   count:int ->
   (Tb_storage.Rid.t array -> unit) ->
   unit
-
-(** [sorted_rids sim ~rids ~count f] is {!with_sorted_rids} streaming one
-    Rid at a time. *)
-val sorted_rids :
-  Tb_sim.Sim.t -> rids:Tb_storage.Rid.t list -> count:int -> (Tb_storage.Rid.t -> unit) -> unit
 
 (** [n log n] comparisons plus write+read passes when the run exceeds
     memory. *)

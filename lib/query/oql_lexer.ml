@@ -68,7 +68,12 @@ let tokenize s =
         while !stop < n && is_digit s.[!stop] do
           incr stop
         done;
-        go !stop (INT (int_of_string (String.sub s pos (!stop - pos))) :: acc)
+        let lit = String.sub s pos (!stop - pos) in
+        match int_of_string_opt lit with
+        | Some v -> go !stop (INT v :: acc)
+        | None ->
+            raise
+              (Lex_error (Printf.sprintf "integer literal %s out of range" lit))
       end
       else if c = '"' then begin
         let stop = ref (pos + 1) in

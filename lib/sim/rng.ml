@@ -13,18 +13,17 @@ let step t =
   t.state <- ((a * t.state) + c) land mask48;
   t.state lsr 17 (* 31 random bits *)
 
+(* Rejection sampling to avoid modulo bias.  A toplevel loop rather than a
+   local one: a local [draw] would capture [t], [limit] and [bound] in a
+   closure allocated on every call. *)
+let rec draw_below t ~limit bound =
+  let v = step t land 0x3FFFFFFF in
+  if v < limit then v mod bound else draw_below t ~limit bound
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   if bound land (bound - 1) = 0 then step t land (bound - 1)
-  else begin
-    (* Rejection sampling to avoid modulo bias. *)
-    let limit = 0x40000000 - (0x40000000 mod bound) in
-    let rec draw () =
-      let v = step t land 0x3FFFFFFF in
-      if v < limit then v mod bound else draw ()
-    in
-    draw ()
-  end
+  else draw_below t ~limit:(0x40000000 - (0x40000000 mod bound)) bound
 
 let float t bound = float_of_int (step t) /. 2147483648.0 *. bound
 

@@ -3,7 +3,13 @@
    push-tail are straight pointer swaps with no option boxing, and when the
    pool is full the evicted node is recycled for the incoming page, so the
    steady state allocates nothing per touch.  [sentinel.next] is the least
-   recently used entry, [sentinel.prev] the most recent. *)
+   recently used entry, [sentinel.prev] the most recent.
+
+   The table is keyed through [Hashtbl.Make (Page_id)]: the packed id is
+   its own hash, so a lookup calls no C hash primitive.  Bucket order is
+   never observed — [iter] walks the LRU list, not the table. *)
+
+module Tbl = Hashtbl.Make (Page_id)
 
 type node = {
   mutable id : Page_id.t;
@@ -14,7 +20,7 @@ type node = {
 
 type t = {
   capacity : int;
-  table : (Page_id.t, node) Hashtbl.t;
+  table : node Tbl.t;
   sentinel : node;
 }
 
@@ -30,12 +36,12 @@ let create ~capacity_pages =
   in
   {
     capacity = capacity_pages;
-    table = Hashtbl.create (min 65536 (capacity_pages + 1));
+    table = Tbl.create (min 65536 (capacity_pages + 1));
     sentinel;
   }
 
 let capacity t = t.capacity
-let size t = Hashtbl.length t.table
+let size t = Tbl.length t.table
 
 let unlink node =
   node.prev.next <- node.next;
@@ -54,54 +60,52 @@ let touch t node =
   push_tail t node
 
 let find t id =
-  match Hashtbl.find_opt t.table id with
-  | None -> None
-  | Some node ->
-      touch t node;
-      Some node.page
+  let node = Tbl.find t.table id in
+  touch t node;
+  node.page
 
-let mem t id = Hashtbl.mem t.table id
+let mem t id = Tbl.mem t.table id
 
 (* Like [find] but leaves recency untouched: a host-level probe for callers
    that must not perturb the pools' eviction order (the B+-tree bulk build,
    the WAL's after-image capture). *)
 let peek t id =
-  match Hashtbl.find_opt t.table id with
+  match Tbl.find_opt t.table id with
   | None -> None
   | Some node -> Some node.page
 
 let add t id page =
-  match Hashtbl.find_opt t.table id with
-  | Some node ->
+  match Tbl.find t.table id with
+  | node ->
       (* Re-adding refreshes recency only; the cached page stays. *)
       ignore page;
       touch t node;
       None
-  | None ->
-      if Hashtbl.length t.table >= t.capacity then begin
+  | exception Not_found ->
+      if Tbl.length t.table >= t.capacity then begin
         (* Full: evict the LRU entry and recycle its node for the newcomer. *)
         let lru = t.sentinel.next in
         let victim = (lru.id, lru.page) in
-        Hashtbl.remove t.table lru.id;
+        Tbl.remove t.table lru.id;
         lru.id <- id;
         lru.page <- page;
-        Hashtbl.replace t.table id lru;
+        Tbl.replace t.table id lru;
         touch t lru;
         Some victim
       end
       else begin
         let node = { id; page; prev = t.sentinel; next = t.sentinel } in
-        Hashtbl.replace t.table id node;
+        Tbl.replace t.table id node;
         push_tail t node;
         None
       end
 
 let remove t id =
-  match Hashtbl.find_opt t.table id with
-  | None -> ()
-  | Some node ->
+  match Tbl.find t.table id with
+  | exception Not_found -> ()
+  | node ->
       unlink node;
-      Hashtbl.remove t.table id
+      Tbl.remove t.table id
 
 let iter t f =
   let s = t.sentinel in
@@ -114,6 +118,6 @@ let iter t f =
   go s.next
 
 let clear t =
-  Hashtbl.reset t.table;
+  Tbl.reset t.table;
   t.sentinel.prev <- t.sentinel;
   t.sentinel.next <- t.sentinel

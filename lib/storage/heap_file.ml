@@ -113,10 +113,12 @@ let insert_framed t framed =
 let insert_with t ~len write = insert_framed t (frame_normal ~len write)
 let insert t body = insert_with t ~len:(Bytes.length body) (blit_body body)
 
+let page_of rid = Page_id.make ~file:(Rid.file rid) ~index:(Rid.page rid)
+
 let fetch_slot t (rid : Rid.t) =
-  let pid = Page_id.make ~file:rid.Rid.file ~index:rid.Rid.page in
+  let pid = page_of rid in
   let page = Cache_stack.fetch t.stack pid in
-  (page, Page_layout.read page rid.Rid.slot)
+  (page, Page_layout.read page (Rid.slot rid))
 
 let read t rid =
   let _, framed = fetch_slot t rid in
@@ -151,27 +153,27 @@ let set_loc loc ~slot ~off ~hop ~len =
   loc.l_len <- len - hop
 
 let locate t (rid : Rid.t) loc =
-  let pid = Page_id.make ~file:rid.Rid.file ~index:rid.Rid.page in
+  let pid = page_of rid in
   let page = Cache_stack.fetch t.stack pid in
-  let off = Page_layout.record_offset page rid.Rid.slot in
-  let len = Page_layout.record_length page rid.Rid.slot in
+  let off = Page_layout.record_offset page (Rid.slot rid) in
+  let len = Page_layout.record_length page (Rid.slot rid) in
   let buf = Page_layout.buffer page in
   match Bytes.get buf off with
   | c when c = tag_normal ->
-      set_loc loc ~slot:rid.Rid.slot ~off ~hop:1 ~len;
+      set_loc loc ~slot:(Rid.slot rid) ~off ~hop:1 ~len;
       page
   | c when c = tag_forward ->
       let target = Rid.decode buf ~pos:(off + 1) in
-      let tpid = Page_id.make ~file:target.Rid.file ~index:target.Rid.page in
+      let tpid = page_of target in
       let tpage = Cache_stack.fetch t.stack tpid in
-      let toff = Page_layout.record_offset tpage target.Rid.slot in
+      let toff = Page_layout.record_offset tpage (Rid.slot target) in
       if Bytes.get (Page_layout.buffer tpage) toff <> tag_relocated then
         invalid_arg "Heap_file.locate: stub does not point at a relocated body";
-      set_loc loc ~slot:target.Rid.slot ~off:toff ~hop:(1 + Rid.on_disk_bytes)
-        ~len:(Page_layout.record_length tpage target.Rid.slot);
+      set_loc loc ~slot:(Rid.slot target) ~off:toff ~hop:(1 + Rid.on_disk_bytes)
+        ~len:(Page_layout.record_length tpage (Rid.slot target));
       tpage
   | c when c = tag_relocated ->
-      set_loc loc ~slot:rid.Rid.slot ~off ~hop:(1 + Rid.on_disk_bytes) ~len;
+      set_loc loc ~slot:(Rid.slot rid) ~off ~hop:(1 + Rid.on_disk_bytes) ~len;
       page
   | _ -> invalid_arg "Heap_file.locate: bad record tag"
 
@@ -183,7 +185,7 @@ let with_record_bytes t rid ~f =
   f (Page_layout.buffer page) ~pos:loc.l_pos ~len:loc.l_len
 
 let write_for t (rid : Rid.t) =
-  let pid = Page_id.make ~file:rid.Rid.file ~index:rid.Rid.page in
+  let pid = page_of rid in
   Cache_stack.fetch_for_write t.stack pid
 
 (* The write fetches every rewrite of [rid] makes, in this order: the home
@@ -192,7 +194,7 @@ let write_for t (rid : Rid.t) =
    when the body lives at home) and the page holding the body. *)
 let write_for_record t (rid : Rid.t) =
   let page = write_for t rid in
-  let off, _ = Page_layout.record_span page rid.Rid.slot in
+  let off, _ = Page_layout.record_span page (Rid.slot rid) in
   let buf = Page_layout.buffer page in
   match Bytes.get buf off with
   | c when c = tag_normal -> (page, Rid.nil, page)
@@ -205,7 +207,7 @@ let write_for_record t (rid : Rid.t) =
 let relocate t ~(home : Rid.t) moved =
   let fresh = insert_framed t moved in
   let page = write_for t home in
-  if not (Page_layout.update page home.Rid.slot (frame_stub fresh)) then
+  if not (Page_layout.update page (Rid.slot home) (frame_stub fresh)) then
     failwith "Heap_file: cannot write forwarding stub"
 
 (* The body is framed before the first write fetch, as the callers'
@@ -215,13 +217,13 @@ let update_with t (rid : Rid.t) ~len write =
   let framed = frame_normal ~len write in
   let page, target, tpage = write_for_record t rid in
   if Rid.is_nil target then begin
-    if not (Page_layout.update page rid.Rid.slot framed) then
+    if not (Page_layout.update page (Rid.slot rid) framed) then
       relocate t ~home:rid (frame_relocated ~home:rid framed)
   end
   else begin
     let moved = frame_relocated ~home:rid framed in
-    if not (Page_layout.update tpage target.Rid.slot moved) then begin
-      Page_layout.delete tpage target.Rid.slot;
+    if not (Page_layout.update tpage (Rid.slot target) moved) then begin
+      Page_layout.delete tpage (Rid.slot target);
       relocate t ~home:rid moved
     end
   end
@@ -231,8 +233,8 @@ let update t rid body = update_with t rid ~len:(Bytes.length body) (blit_body bo
 let patch t (rid : Rid.t) f =
   let _, target, page = write_for_record t rid in
   let slot, hop =
-    if Rid.is_nil target then (rid.Rid.slot, 1)
-    else (target.Rid.slot, 1 + Rid.on_disk_bytes)
+    if Rid.is_nil target then (Rid.slot rid, 1)
+    else (Rid.slot target, 1 + Rid.on_disk_bytes)
   in
   let off, len = Page_layout.record_span page slot in
   f (Page_layout.buffer page) ~pos:(off + hop) ~len:(len - hop);
@@ -240,14 +242,14 @@ let patch t (rid : Rid.t) f =
 
 let delete t (rid : Rid.t) =
   let page = write_for t rid in
-  let off, _ = Page_layout.record_span page rid.Rid.slot in
+  let off, _ = Page_layout.record_span page (Rid.slot rid) in
   let buf = Page_layout.buffer page in
   if Bytes.get buf off = tag_forward then begin
     let target = Rid.decode buf ~pos:(off + 1) in
     let tpage = write_for t target in
-    Page_layout.delete tpage target.Rid.slot
+    Page_layout.delete tpage (Rid.slot target)
   end;
-  Page_layout.delete page rid.Rid.slot
+  Page_layout.delete page (Rid.slot rid)
 
 let iter_page_records t ~page:index f =
   let pid = Page_id.make ~file:t.file ~index in

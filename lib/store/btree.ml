@@ -184,14 +184,14 @@ let page_for t index writable =
    the slot was filled. *)
 let cached_for t index page =
   let v = Page_layout.version page in
-  match Hashtbl.find_opt t.cache index with
-  | Some c ->
+  match Hashtbl.find t.cache index with
+  | c ->
       if c.ver <> v then begin
         c.node <- decode_page page;
         c.ver <- v
       end;
       c
-  | None ->
+  | exception Not_found ->
       let c = { ver = v; node = decode_page page } in
       Hashtbl.replace t.cache index c;
       c
@@ -200,11 +200,11 @@ let read_node t index = (cached_for t index (page_for t index false)).node
 
 (* Re-point the cache at [node], valid as of the page's current version. *)
 let stamp t index page node =
-  match Hashtbl.find_opt t.cache index with
-  | Some c ->
+  match Hashtbl.find t.cache index with
+  | c ->
       c.node <- node;
       c.ver <- Page_layout.version page
-  | None ->
+  | exception Not_found ->
       Hashtbl.replace t.cache index { ver = Page_layout.version page; node }
 
 let write_node t index node =

@@ -145,7 +145,7 @@ let class_file t ~cls =
   | None -> raise Not_found
 
 let heap_of_rid t (rid : Rid.t) =
-  match Hashtbl.find t.files_by_id rid.Rid.file with
+  match Hashtbl.find t.files_by_id (Rid.file rid) with
   | heap -> heap
   | exception Not_found ->
       invalid_arg "Database: rid belongs to no registered file"
@@ -427,16 +427,20 @@ let set_length t v =
   !n
 
 (* Pull-style extent scan: the executor's Seq_scan operator advances this
-   one Rid at a time.  A page is fetched (and charged) exactly when the
-   cursor first needs a Rid from it; the per-page record walk is
+   a page of Rids at a time.  A page is fetched (and charged) exactly when
+   the cursor first needs a Rid from it; the per-page record walk is
    chargeless, so the charge order is identical to the push-style
-   [scan_extent] below. *)
+   [scan_extent] below.  The page's matching Rids land in one buffer that
+   the cursor reuses from page to page, so a scan allocates per page at
+   most, never per Rid. *)
 type cursor = {
   c_heap : Heap_file.t;
   c_want : int;
   c_pages : int;
   mutable c_page : int;
-  mutable c_pending : Rid.t list;
+  mutable c_rids : Rid.t array;  (* the current page's matching Rids *)
+  mutable c_len : int;  (* how many of [c_rids] are filled *)
+  mutable c_pos : int;  (* the next one to hand out *)
 }
 
 let scan_cursor t ~cls =
@@ -446,70 +450,67 @@ let scan_cursor t ~cls =
     c_want = Schema.class_id t.schema cls;
     c_pages = Heap_file.page_count heap;
     c_page = 0;
-    c_pending = [];
+    c_rids = Array.make 64 Rid.nil;
+    c_len = 0;
+    c_pos = 0;
   }
 
-(* Fill [c_pending] from the next page with matching records; false at end
-   of extent.  The header peek is on the page bytes in place — no body
+let cursor_push cur rid =
+  if cur.c_len = Array.length cur.c_rids then begin
+    let bigger = Array.make (2 * cur.c_len) Rid.nil in
+    Array.blit cur.c_rids 0 bigger 0 cur.c_len;
+    cur.c_rids <- bigger
+  end;
+  cur.c_rids.(cur.c_len) <- rid;
+  cur.c_len <- cur.c_len + 1
+
+(* Refill the buffer from the next page with matching records; false at
+   end of extent.  The header peek is on the page bytes in place — no body
    copy, no header decode. *)
 let rec cursor_fill cur =
   if cur.c_page >= cur.c_pages then false
   else begin
-    let acc = ref [] in
+    cur.c_len <- 0;
+    cur.c_pos <- 0;
     Heap_file.iter_page_spans cur.c_heap ~page:cur.c_page
       (fun rid buf pos _len ->
         if
           Obj_header.peek_class_id buf ~pos = cur.c_want
           && not (Obj_header.peek_deleted buf ~pos)
-        then acc := rid :: !acc);
+        then cursor_push cur rid);
     cur.c_page <- cur.c_page + 1;
-    match List.rev !acc with
-    | [] -> cursor_fill cur
-    | pending ->
-        cur.c_pending <- pending;
-        true
+    cur.c_len > 0 || cursor_fill cur
   end
 
 let cursor_next cur =
-  match cur.c_pending with
-  | rid :: rest ->
-      cur.c_pending <- rest;
-      Some rid
-  | [] ->
-      if cursor_fill cur then begin
-        match cur.c_pending with
-        | rid :: rest ->
-            cur.c_pending <- rest;
-            Some rid
-        | [] -> assert false
-      end
-      else None
+  if cur.c_pos < cur.c_len || cursor_fill cur then begin
+    let rid = cur.c_rids.(cur.c_pos) in
+    cur.c_pos <- cur.c_pos + 1;
+    rid
+  end
+  else Rid.nil
 
-(* Batched variant: all matching Rids of the next non-empty page at once.
-   Deliberately page-bounded — merging across pages would fetch page N+1
-   before the per-row work on page N's rows, reordering the cache access
-   sequence under small pools. *)
-let cursor_next_page cur =
-  match cur.c_pending with
-  | _ :: _ as pending ->
-      cur.c_pending <- [];
-      Some pending
-  | [] ->
-      if cursor_fill cur then begin
-        let pending = cur.c_pending in
-        cur.c_pending <- [];
-        Some pending
-      end
-      else None
+(* Batched variant: all remaining matching Rids of the next non-empty page
+   at once.  Deliberately page-bounded — merging across pages would fetch
+   page N+1 before the per-row work on page N's rows, reordering the cache
+   access sequence under small pools. *)
+let cursor_next_page cur f =
+  if cur.c_pos < cur.c_len || cursor_fill cur then begin
+    let off = cur.c_pos in
+    cur.c_pos <- cur.c_len;
+    f cur.c_rids off (cur.c_len - off);
+    true
+  end
+  else false
 
 let scan_extent t ~cls f =
   let cur = scan_cursor t ~cls in
   let rec go () =
-    match cursor_next cur with
-    | Some rid ->
-        f rid;
-        go ()
-    | None -> ()
+    let rid = cursor_next cur in
+    if not (Rid.is_nil rid) then begin
+      f rid;
+      go ()
+    end
   in
   go ()
 

@@ -143,17 +143,26 @@ val scan_extent : t -> cls:string -> (Tb_storage.Rid.t -> unit) -> unit
 (** Pull-style extent scan for the executor's Seq_scan operator.  A data
     page is fetched (and charged) exactly when the cursor first needs a
     Rid from it, so driving a cursor to exhaustion produces the same
-    charge sequence as {!scan_extent}. *)
+    charge sequence as {!scan_extent}.  The cursor holds one page's
+    matching Rids at a time in a buffer it reuses, so advancing it
+    allocates nothing per Rid. *)
 type cursor
 
 val scan_cursor : t -> cls:string -> cursor
-val cursor_next : cursor -> Tb_storage.Rid.t option
 
-(** [cursor_next_page cur] returns all remaining matching Rids of the next
-    page at once (never straddling a page boundary, so interleaving
-    per-row page accesses with cursor advances keeps the exact charge
-    order of {!cursor_next}).  The vectorized Seq_scan feeds on this. *)
-val cursor_next_page : cursor -> Tb_storage.Rid.t list option
+(** The next matching Rid, or {!Tb_storage.Rid.nil} at end of extent. *)
+val cursor_next : cursor -> Tb_storage.Rid.t
+
+(** [cursor_next_page cur f] calls [f rids off len] once with all
+    remaining matching Rids of the next non-empty page — the slice
+    [rids.(off) .. rids.(off + len - 1)], [len > 0] — and returns [true];
+    at end of extent it returns [false] without calling [f].  A slice never
+    straddles a page boundary, so interleaving per-row page accesses with
+    cursor advances keeps the exact charge order of {!cursor_next}.  The
+    array is the cursor's own buffer: it is valid only until [f] returns.
+    The vectorized Seq_scan feeds on this. *)
+val cursor_next_page :
+  cursor -> (Tb_storage.Rid.t array -> int -> int -> unit) -> bool
 
 val cardinality : t -> cls:string -> int
 

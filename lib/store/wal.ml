@@ -63,9 +63,9 @@ let tick_write t =
    [logical_write]'s byte accounting, and a per-page physical record is a
    consolidation of those same bytes, not new ones. *)
 let note_touch t pid page =
-  match Hashtbl.find_opt t.touched pid with
-  | Some tch -> tch.page <- page
-  | None ->
+  match Hashtbl.find t.touched pid with
+  | tch -> tch.page <- page
+  | exception Not_found ->
       Tb_sim.Sim.charge_wal_append t.sim;
       let lsn = t.next_lsn in
       t.next_lsn <- lsn + 1;

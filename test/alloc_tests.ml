@@ -1,10 +1,14 @@
-(* Allocation budget of the row path.  A cold seq-scan selection and a
-   cold PHJ join run on a scale-1000 Derby database, and the minor words
-   allocated inside [Exec.run] are divided by the simulated Handles it
-   allocated.  The count is exact and repeats from run to run, so a bound
-   about 1.5 times the measured value (35.8 and 80.6 words, DESIGN.md
-   §4n) catches a per-row closure, tuple or box brought back into the
-   Handle, attribute or projection path. *)
+(* Allocation budget of the row path.  A cold seq-scan selection, a cold
+   Rid-sorted index selection and a cold PHJ join run on a scale-1000
+   Derby database, and the minor words allocated inside [Exec.run] are
+   divided by the simulated Handles it allocated.  The count is exact and
+   repeats from run to run.  The PHJ bound is about 1.5 times its measured
+   value (69.1 words, DESIGN.md §4n) and catches a per-row closure, tuple
+   or box brought back into the Handle, attribute or projection path.  The
+   two selection bounds sit under their measured values (21.8 and 51.4)
+   plus one list cell, so a per-Rid list cell, option or singleton array
+   brought back into the scan cursor, the index scan or Sort_rids fails
+   them. *)
 
 open Tb_query
 module Database = Tb_store.Database
@@ -17,11 +21,13 @@ let built =
        ~cost:(Tb_sim.Cost_model.scaled 1000)
        (Generator.config ~scale:1000 `Deep Generator.Class_clustered))
 
-let words_per_handle ?force_algo ?force_seq text =
+let words_per_handle ?force_algo ?force_sorted ?force_seq text =
   let b = Lazy.force built in
   let db = b.Generator.db in
   let root =
-    Planner.lower (Planner.plan ?force_algo ?force_seq db (Oql_parser.parse text))
+    Planner.lower
+      (Planner.plan ?force_algo ?force_sorted ?force_seq db
+         (Oql_parser.parse text))
   in
   let counters = (Database.sim db).Sim.counters in
   Database.cold_restart db;
@@ -41,8 +47,15 @@ let check_budget name ~bound words =
 
 let test_seq_scan_selection () =
   let n = Array.length (Lazy.force built).Generator.patients in
-  check_budget "seq-scan selection" ~bound:53.0
+  check_budget "seq-scan selection" ~bound:24.0
     (words_per_handle ~force_seq:true
+       (Printf.sprintf "select pa.age from pa in Patients where pa.mrn < %d"
+          (n / 10)))
+
+let test_sorted_index_selection () =
+  let n = Array.length (Lazy.force built).Generator.patients in
+  check_budget "Rid-sorted index selection" ~bound:53.0
+    (words_per_handle ~force_sorted:true
        (Printf.sprintf "select pa.age from pa in Patients where pa.mrn < %d"
           (n / 10)))
 
@@ -50,7 +63,7 @@ let test_phj_join () =
   let b = Lazy.force built in
   let n_pat = Array.length b.Generator.patients
   and n_prov = Array.length b.Generator.providers in
-  check_budget "PHJ join" ~bound:120.0
+  check_budget "PHJ join" ~bound:104.0
     (words_per_handle ~force_algo:Plan.PHJ
        (Printf.sprintf
           "select [p.name, pa.age] from p in Providers, pa in p.clients where \
@@ -61,5 +74,7 @@ let suite =
   [
     Alcotest.test_case "seq-scan selection: words per Handle alloc" `Quick
       test_seq_scan_selection;
+    Alcotest.test_case "Rid-sorted index selection: words per Handle alloc"
+      `Quick test_sorted_index_selection;
     Alcotest.test_case "PHJ join: words per Handle alloc" `Quick test_phj_join;
   ]

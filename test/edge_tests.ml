@@ -127,6 +127,29 @@ let test_parser_aggregate_roundtrip () =
   let printed = Format.asprintf "%a" Oql_ast.pp_query q in
   check_bool "pp/parse roundtrip" true (Oql_parser.parse printed = q)
 
+(* An integer literal that does not fit an OCaml int is a lexing error,
+   not a [Failure] from deep in the tokenizer; the extremes that fit still
+   lex. *)
+let test_lexer_int_literal_range () =
+  let lex_error q =
+    match Oql_parser.parse q with
+    | exception Oql_lexer.Lex_error _ -> true
+    | _ -> false
+  in
+  let where lit = "select pa.age from pa in Patients where pa.num < " ^ lit in
+  check_bool "over-long literal" true
+    (lex_error (where "99999999999999999999999"));
+  check_bool "one past max_int" true
+    (lex_error (where "4611686018427387904"));
+  let ints s =
+    List.filter_map
+      (function Oql_lexer.INT v -> Some v | _ -> None)
+      (Oql_lexer.tokenize s)
+  in
+  Alcotest.(check (list int))
+    "max_int and min_int lex" [ max_int; min_int ]
+    (ints (Printf.sprintf "%d %d" max_int min_int))
+
 let test_equality_predicate_uses_index () =
   let b = small_db () in
   let db = b.Tb_derby.Generator.db in
@@ -290,6 +313,8 @@ let suite =
     Alcotest.test_case "btree: empty and degenerate ranges" `Quick
       test_btree_empty_and_degenerate_ranges;
     Prop.to_alcotest btree_mixed_ops_invariants;
+    Alcotest.test_case "lexer: integer literal out of range" `Quick
+      test_lexer_int_literal_range;
     Alcotest.test_case "parser: aggregate roundtrip" `Quick
       test_parser_aggregate_roundtrip;
     Alcotest.test_case "planner: equality predicate uses the index" `Quick

@@ -28,6 +28,172 @@ let test_rid_order_is_physical () =
   check_bool "page order" true (Rid.compare a b < 0);
   check_bool "file order" true (Rid.compare b c < 0)
 
+(* --- packed Rid ---
+
+   A Rid is one int (file 20 bits, page 26, slot 16).  The properties pin
+   what the packing must not move: the 8-byte on-disk image, physical
+   order, the FNV hash the exchange routes by, and the shard tag
+   [Exchange.retag] adds to the file field. *)
+
+let max_file = (1 lsl 20) - 1
+let max_page = (1 lsl 26) - 1
+let max_slot = (1 lsl 16) - 1
+
+(* A component in [0, hi]: the ends and their neighbours, or anything. *)
+let field_gen hi =
+  QCheck.Gen.(
+    frequency
+      [ (1, oneofl [ 0; 1; hi - 1; hi ]); (3, int_range 0 hi) ])
+
+(* A triple, or [None] for nil; [file_hi] bounds the file field. *)
+let triple_gen ~file_hi =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return None);
+        ( 8,
+          map
+            (fun (f, p, s) -> Some (f, p, s))
+            (triple (field_gen file_hi) (field_gen max_page)
+               (field_gen max_slot)) );
+      ])
+
+let print_triple = function
+  | None -> "nil"
+  | Some (f, p, s) -> Printf.sprintf "(%d, %d, %d)" f p s
+
+let rid_of = function
+  | None -> Rid.nil
+  | Some (file, page, slot) -> Rid.make ~file ~page ~slot
+
+(* The record-era encoding, written field by field. *)
+let reference_encoding = function
+  | None -> Bytes.make 8 '\xff'
+  | Some (file, page, slot) ->
+      let b = Bytes.create 8 in
+      Bytes.set_uint16_le b 0 file;
+      Bytes.set_int32_le b 2 (Int32.of_int page);
+      Bytes.set_uint16_le b 6 slot;
+      b
+
+(* Files on disk carry 16 bits, and file 0xffff is the nil marker (as it
+   was before the packing); the wider field only holds shard tags. *)
+let rid_codec_roundtrip =
+  QCheck.Test.make ~name:"rid: decode (encode r) = r, image unchanged"
+    ~count:1000
+    (QCheck.make ~print:print_triple (triple_gen ~file_hi:0xfffe))
+    (fun t ->
+      let r = rid_of t in
+      let b = Rid.encode r in
+      Bytes.equal b (reference_encoding t)
+      && Rid.equal (Rid.decode b ~pos:0) r
+      &&
+      let f, p, s = match t with None -> (-1, -1, -1) | Some fps -> fps in
+      Rid.is_nil r = (t = None)
+      && Rid.file r = f && Rid.page r = p && Rid.slot r = s)
+
+let lex_compare a b =
+  let key = function None -> (-1, -1, -1) | Some t -> t in
+  let (f1, p1, s1), (f2, p2, s2) = (key a, key b) in
+  let c = Int.compare f1 f2 in
+  if c <> 0 then c
+  else
+    let c = Int.compare p1 p2 in
+    if c <> 0 then c else Int.compare s1 s2
+
+let rid_compare_is_lexicographic =
+  let g = triple_gen ~file_hi:max_file in
+  QCheck.Test.make ~name:"rid: compare = (file, page, slot) order" ~count:1000
+    (QCheck.make
+       ~print:(fun (a, b) -> print_triple a ^ " vs " ^ print_triple b)
+       QCheck.Gen.(
+         (* Half the pairs share a prefix, so the later fields decide. *)
+         g >>= fun a ->
+         frequency
+           [
+             (2, g >|= fun b -> (a, b));
+             ( 1,
+               match a with
+               | None -> return (a, a)
+               | Some (f, p, _) ->
+                   field_gen max_slot >|= fun s -> (a, Some (f, p, s)) );
+             ( 1,
+               match a with
+               | None -> return (a, a)
+               | Some (f, _, _) ->
+                   pair (field_gen max_page) (field_gen max_slot)
+                   >|= fun (p, s) -> (a, Some (f, p, s)) );
+           ]))
+    (fun (a, b) ->
+      let sign x = Int.compare x 0 in
+      let want = sign (lex_compare a b) in
+      sign (Rid.compare (rid_of a) (rid_of b)) = want
+      && Rid.equal (rid_of a) (rid_of b) = (want = 0))
+
+(* Values of the record-era [Rid.hash], recorded before the packing. *)
+let test_rid_hash_unchanged () =
+  List.iter
+    (fun (file, page, slot, h) ->
+      check_int
+        (Printf.sprintf "hash (%d, %d, %d)" file page slot)
+        h
+        (Rid.hash (Rid.make ~file ~page ~slot)))
+    [
+      (0, 0, 0, 4237627503871588279);
+      (1, 2, 3, 3897879059632175019);
+      (3, 123456, 77, 2147207615595247201);
+      (65535, 0, 0, 405718540681434366);
+      (0, 67108863, 0, 472383285789232608);
+      (0, 0, 65535, 4237627299402745526);
+      (1048575, 67108863, 65535, 3932291615479287252);
+      (983047, 1234, 56, 3317135213741791852);
+    ];
+  check_int "hash nil" 34028581817077204 (Rid.hash Rid.nil)
+
+let test_rid_make_rejects_out_of_range () =
+  let rejects what ~file ~page ~slot =
+    check_bool what true
+      (match Rid.make ~file ~page ~slot with
+      | exception Invalid_argument _ -> true
+      | _ -> false)
+  in
+  rejects "file -1" ~file:(-1) ~page:0 ~slot:0;
+  rejects "file 2^20" ~file:(max_file + 1) ~page:0 ~slot:0;
+  rejects "page -1" ~file:0 ~page:(-1) ~slot:0;
+  rejects "page 2^26" ~file:0 ~page:(max_page + 1) ~slot:0;
+  rejects "slot -1" ~file:0 ~page:0 ~slot:(-1);
+  rejects "slot 2^16" ~file:0 ~page:0 ~slot:(max_slot + 1);
+  let top = Rid.make ~file:max_file ~page:max_page ~slot:max_slot in
+  check_bool "maxima accepted" true
+    (Rid.file top = max_file && Rid.page top = max_page
+    && Rid.slot top = max_slot)
+
+(* A retagged key keeps page and slot, carries the shard above the 16-bit
+   file id, and hashes like the (file, page, slot) triple it names. *)
+let rid_retag_roundtrip =
+  QCheck.Test.make ~name:"rid: Exchange.retag round-trips for shards 0..15"
+    ~count:500
+    QCheck.(
+      pair (int_range 0 15)
+        (make ~print:print_triple
+           (QCheck.Gen.map Option.some
+              QCheck.Gen.(
+                triple (field_gen 0xffff) (field_gen max_page)
+                  (field_gen max_slot)))))
+    (fun (shard, t) ->
+      match t with
+      | None -> true
+      | Some (file, page, slot) ->
+          let k = Tb_query.Exchange.retag ~shard (rid_of t) in
+          let fnv =
+            let mix h x = (h lxor x) * 0x0100_0193 in
+            mix (mix (mix 0x811c_9dc5 (Rid.file k)) page) slot land max_int
+          in
+          Rid.file k lsr 16 = shard
+          && Rid.file k land 0xffff = file
+          && Rid.page k = page && Rid.slot k = slot
+          && Rid.hash k = fnv)
+
 (* --- Slotted page --- *)
 
 let body s = Bytes.of_string s
@@ -277,8 +443,9 @@ let test_pool_interleaved_order () =
 let test_pool_capacity_one () =
   let pool = Buffer_pool.create ~capacity_pages:1 in
   let p0 = page () in
+  let p1 = page () in
   check_bool "first add fits" true (Buffer_pool.add pool (pid 0) p0 = None);
-  (match Buffer_pool.add pool (pid 1) (page ()) with
+  (match Buffer_pool.add pool (pid 1) p1 with
   | Some (vid, vp) ->
       check_bool "sole resident is the victim" true (Page_id.equal vid (pid 0));
       check_bool "victim page returned" true (vp == p0)
@@ -287,7 +454,11 @@ let test_pool_capacity_one () =
   check_bool "victim gone" false (Buffer_pool.mem pool (pid 0));
   check_int "still one entry" 1 (Buffer_pool.size pool);
   (* The recycled node keeps working: find and evict again. *)
-  check_bool "find newcomer" true (Buffer_pool.find pool (pid 1) <> None);
+  check_bool "find newcomer" true (Buffer_pool.find pool (pid 1) == p1);
+  check_bool "find of an evicted id raises" true
+    (match Buffer_pool.find pool (pid 0) with
+    | _ -> false
+    | exception Not_found -> true);
   expect_victim pool (pid 2) (page ()) (pid 1)
 
 let test_pool_clear_resets_chain () =
@@ -465,6 +636,13 @@ let suite =
   [
     Alcotest.test_case "rid: encode/decode" `Quick test_rid_roundtrip;
     Alcotest.test_case "rid: physical order" `Quick test_rid_order_is_physical;
+    Prop.to_alcotest rid_codec_roundtrip;
+    Prop.to_alcotest rid_compare_is_lexicographic;
+    Alcotest.test_case "rid: hash values unchanged" `Quick
+      test_rid_hash_unchanged;
+    Alcotest.test_case "rid: make rejects out-of-range fields" `Quick
+      test_rid_make_rejects_out_of_range;
+    Prop.to_alcotest rid_retag_roundtrip;
     Alcotest.test_case "page: insert/read" `Quick test_page_insert_read;
     Alcotest.test_case "page: delete and slot reuse" `Quick
       test_page_delete_and_reuse;
