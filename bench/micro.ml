@@ -66,8 +66,8 @@ let tests () =
     t "fig6.index_scan" (fun () ->
         run_query ~force_sorted:false (Lazy.force sel_q) ());
     (* The optimizer itself: enumerate + cost + pick over the Figure 6
-       selectivity sweep, no execution — bounds what `--optimize` adds on
-       top of a forced run.  The catalog is analyzed once and retained,
+       selectivity sweep, no execution — bounds what an unpinned query
+       adds on top of a pinned run.  The catalog is analyzed once and retained,
        as a session would. *)
     t "fig6.optimizer_sweep" (fun () ->
         let b = Lazy.force built in

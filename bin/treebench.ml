@@ -3,8 +3,9 @@
    Subcommands:
      figure  — regenerate one of the paper's tables/figures
      query   — build a Derby database and run an OQL query against it,
-               with any algorithm/access-path override
-     plan    — show the plan both optimizers pick for a query
+               pinned by any algorithm/access-path override or chosen by
+               the optimizer
+     plan    — show O2's heuristic plan and the optimizer's ranked choice
      load    — loading-cost experiment (Section 3.2 knobs exposed)
      list    — list reproducible figures *)
 
@@ -40,6 +41,26 @@ let org_arg =
 let build_db ~scale ~shape ~org =
   let cfg = Tb_derby.Generator.config ~scale shape org in
   Tb_derby.Generator.build ~cost:(Tb_sim.Cost_model.scaled scale) cfg
+
+(* Malformed OQL (a lexing or parsing error) is rejected before a database
+   is built for it; a query naming an unknown extent or attribute, or
+   otherwise outside the supported subset, is rejected at bind time.
+   Both exit 2. *)
+let reject_malformed oql =
+  match Tb_query.Oql_parser.parse oql with
+  | _ -> ()
+  | exception
+      (Tb_query.Oql_lexer.Lex_error msg | Tb_query.Oql_parser.Parse_error msg)
+    ->
+      Printf.eprintf "treebench: bad query: %s\n" msg;
+      exit 2
+
+let or_unsupported f =
+  match f () with
+  | () -> ()
+  | exception Tb_query.Plan.Unsupported msg ->
+      Printf.eprintf "treebench: unsupported query: %s\n" msg;
+      exit 2
 
 (* --- figure --- *)
 
@@ -138,18 +159,6 @@ let query_cmd =
        against the global counters."
     in
     Arg.(value & flag & info [ "explain" ] ~doc)
-  in
-  let optimize_arg =
-    let doc =
-      "Run the four-stage optimizer pipeline (enumerate, cost, pick, \
-       validate) instead of the forced path: every candidate plan is \
-       costed from catalog statistics, the argmin executes, and each \
-       operator's estimate is reconciled against its accounted frame.  \
-       With --explain the per-operator estimated-vs-actual columns and the \
-       feedback summary are printed.  Excludes --algo/--seq/--sorted and \
-       --shards > 1."
-    in
-    Arg.(value & flag & info [ "optimize" ] ~doc)
   in
   let shards_arg =
     let doc =
@@ -280,34 +289,12 @@ let query_cmd =
         (Tb_query.Query_result.sample r);
     Tb_query.Query_result.dispose r
   in
-  let run oql scale shape org algo seq sorted show explain optimize shards
-      replicas chaos_seed =
-    (* Reject malformed OQL before building a database for it. *)
-    (match Tb_query.Oql_parser.parse oql with
-    | _ -> ()
-    | exception
-        ( Tb_query.Oql_lexer.Lex_error msg
-        | Tb_query.Oql_parser.Parse_error msg ) ->
-        Printf.eprintf "treebench: bad query: %s\n" msg;
-        exit 2);
+  let run oql scale shape org algo seq sorted show explain shards replicas
+      chaos_seed =
+    reject_malformed oql;
     if shards < 1 then begin
       Printf.eprintf "treebench: --shards expects a positive count\n";
       exit 2
-    end;
-    if optimize then begin
-      if shards > 1 then begin
-        Printf.eprintf
-          "treebench: --optimize plans single-node queries (use \
-           Planner.optimize_sharded for the break-even analysis)\n";
-        exit 2
-      end;
-      (match (algo, seq, sorted) with
-      | None, false, None -> ()
-      | _ ->
-          Printf.eprintf
-            "treebench: --optimize searches the whole candidate space; it \
-             excludes --algo, --seq and --sorted\n";
-          exit 2)
     end;
     let extent = (Tb_derby.Generator.config ~scale shape org).n_providers in
     if shards > extent then begin
@@ -331,10 +318,12 @@ let query_cmd =
            killed shard must have a replica to fail over to)\n";
         exit 2
     | _ -> ());
+    let pinned = Option.is_some algo || seq || Option.is_some sorted in
+    or_unsupported @@ fun () ->
     if shards > 1 then
       run_sharded oql ~scale ~shape ~org ~shards ~replicas ~chaos_seed ~algo
         ~seq ~sorted ~show ~explain
-    else if optimize then run_optimized oql ~scale ~shape ~org ~show ~explain
+    else if not pinned then run_optimized oql ~scale ~shape ~org ~show ~explain
     else begin
     let b = build_db ~scale ~shape ~org in
     let organization =
@@ -368,12 +357,16 @@ let query_cmd =
     end
     end
   in
-  let doc = "Build a Derby database and run one OQL query, cold." in
+  let doc =
+    "Build a Derby database and run one OQL query, cold.  With --algo, \
+     --seq or --sorted the plan is pinned; otherwise the optimizer \
+     (enumerate, cost, pick, validate) chooses it and reports its pick."
+  in
   Cmd.v (Cmd.info "query" ~doc)
     Term.(
       const run $ oql_arg $ scale_arg $ shape_arg $ org_arg $ algo_arg
-      $ seq_arg $ sorted_arg $ show_arg $ explain_arg $ optimize_arg
-      $ shards_arg $ replicas_arg $ chaos_seed_arg)
+      $ seq_arg $ sorted_arg $ show_arg $ explain_arg $ shards_arg
+      $ replicas_arg $ chaos_seed_arg)
 
 (* --- plan --- *)
 
@@ -383,30 +376,30 @@ let plan_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"OQL" ~doc)
   in
   let run oql scale shape org =
+    reject_malformed oql;
+    or_unsupported @@ fun () ->
     let b = build_db ~scale ~shape ~org in
     let db = b.Tb_derby.Generator.db in
     let q = Tb_query.Oql_parser.parse oql in
     let organization =
       Tb_derby.Generator.estimate_organization b.Tb_derby.Generator.cfg
     in
-    let heuristic = Tb_query.Planner.plan ~mode:Tb_query.Planner.Heuristic ~organization db q in
-    let cost_based = Tb_query.Planner.plan ~mode:Tb_query.Planner.Cost_based ~organization db q in
-    Format.printf "parsed:     %a@." Tb_query.Oql_ast.pp_query q;
-    Format.printf "heuristic:  %a@." Tb_query.Plan.pp heuristic;
-    Format.printf "cost-based: %a@." Tb_query.Plan.pp cost_based;
-    match Tb_query.Plan.bind db q with
-    | Tb_query.Plan.B_hier _ as bound ->
-        let env = Tb_query.Planner.join_env db bound ~organization in
-        Format.printf "estimates:@.";
-        List.iter
-          (fun (algo, ms) ->
-            Format.printf "  %-8s %10.2f s@."
-              (Tb_query.Plan.algo_name algo)
-              (ms /. 1000.0))
-          (Tb_query.Estimate.rank_joins env)
-    | Tb_query.Plan.B_selection _ -> ()
+    let o2 = Tb_query.Planner.plan_o2 db q in
+    let d = Tb_query.Planner.optimize ~organization db oql in
+    Format.printf "parsed:    %a@." Tb_query.Oql_ast.pp_query q;
+    Format.printf "o2:        %a@." Tb_query.Plan.pp o2;
+    Format.printf "optimizer: %a@." Tb_query.Plan.pp d.Tb_query.Planner.d_plan;
+    Format.printf "candidates (estimated, best first):@.";
+    List.iteri
+      (fun i ch ->
+        Format.printf "  #%-3d %-44s %12.3f ms@." (i + 1)
+          ch.Tb_query.Planner.ch_desc ch.Tb_query.Planner.ch_cost_ms)
+      d.Tb_query.Planner.d_candidates
   in
-  let doc = "Show the plans both optimizers pick, with cost estimates." in
+  let doc =
+    "Show O2's heuristic plan (navigation, unsorted index scans) and the \
+     optimizer's pick with every candidate it costed."
+  in
   Cmd.v (Cmd.info "plan" ~doc)
     Term.(const run $ oql_arg $ scale_arg $ shape_arg $ org_arg)
 

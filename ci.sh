@@ -63,6 +63,20 @@ fi
 # counters), and the invariance suite pins S=1 to the golden scale-40
 # fingerprint byte for byte — one shard must BE the unsharded engine.
 dune runtest
+# CLI smoke: `treebench plan` prints O2's plan and the optimizer's ranked
+# candidates for a join (exit 0); a query naming an unknown attribute is
+# rejected at bind time with exit 2, not an uncaught exception.
+TREEBENCH="./_build/default/bin/treebench.exe"
+"$TREEBENCH" plan --scale 1000 \
+  "select [p.name, pa.age] from p in Providers, pa in p.clients where pa.mrn < 300 and p.upin < 50" \
+  > /dev/null
+rc=0
+"$TREEBENCH" plan --scale 1000 "select pa.zzz from pa in Patients" \
+  > /dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "treebench plan: malformed query exited $rc, expected 2" >&2
+  exit 1
+fi
 # The runtest pass draws every QCheck property's cases from one fixed
 # default seed (test/prop.ml), so its verdict is the same on every run.
 # This pass re-runs the property-bearing suites under a fresh seed, printed

@@ -70,8 +70,14 @@ val aggregates : ctx -> Format.formatter -> unit
     collection would have cost as a [count(...)]. *)
 
 val costmodel : ctx -> Format.formatter -> unit
-(** Predicted vs measured times for every algorithm and cell: the validated
-    cost model the paper set out to build. *)
+(** Predicted vs measured times for every algorithm and cell: the
+    optimizer's per-operator cost model ({!Tb_query.Estimate.plan_cost_ms}
+    over each pinned join plan) against the simulator — the validated cost
+    model the paper set out to build. *)
+
+val costmodel_verdict : ctx -> int * int
+(** [(hits, cells)] of the {!costmodel} check: in how many of its cells
+    the predicted winner is the measured one. *)
 
 val oo7 : ctx -> Format.formatter -> unit
 (** A miniature 007 benchmark: warm traversals vs one cold associative

@@ -31,7 +31,6 @@ type t = {
 (** [run_cold db oql ~label ...] cold-restarts, executes, and captures. The
     optional arguments are passed to {!Tb_query.Planner.plan}. *)
 val run_cold :
-  ?mode:Tb_query.Planner.mode ->
   ?organization:Tb_query.Estimate.organization ->
   ?force_algo:Tb_query.Plan.join_algo ->
   ?force_sorted:bool ->

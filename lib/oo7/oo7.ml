@@ -260,7 +260,7 @@ let query_q ~frac b =
     Tb_query.Planner.run b.db
       (Printf.sprintf
          "select count(a) from a in AtomicParts where a.buildDate >= %d" cutoff)
-      ~keep:true
+      ~force_seq:true ~keep:true
   in
   let n =
     match Tb_query.Query_result.values r with

@@ -51,6 +51,7 @@ val build : ?cost:Tb_sim.Cost_model.t -> config -> built
 val traversal_t1 : built -> int
 
 (** [query_q ~frac built] is a 007-style associative query: count the
-    atomic parts in the most recent [frac] (0..1) of build dates, through
-    the build-date index. *)
+    atomic parts in the most recent [frac] (0..1) of build dates, pinned to
+    one sequential sweep of the extent (the cold associative sweep the
+    [oo7] figure reports), whatever the optimizer would pick. *)
 val query_q : frac:float -> built -> int

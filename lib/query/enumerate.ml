@@ -8,9 +8,10 @@
 
    List order encodes the tie policy: the cost stage's argmin keeps the
    FIRST candidate on equal cost, so index paths precede scans (the
-   Section 4.2 preference at low selectivity), the paper's algorithms keep
-   {!Estimate.all_algos} order, and packed precedes handle evaluation
-   (charge-identical by construction; packed is the cheaper wallclock). *)
+   Section 4.2 preference at low selectivity), the paper's four algorithms
+   precede the extensions ({!all_algos}), and packed precedes handle
+   evaluation (charge-identical by construction; packed is the cheaper
+   wallclock). *)
 
 module Database = Tb_store.Database
 module Sc = Tb_statcore.Stat_catalog
@@ -20,6 +21,11 @@ type candidate = {
   c_packed : bool;
   c_desc : string;  (* human-readable shape, e.g. "PHJ parent=index child=seq packed" *)
 }
+
+(* The paper's four originals first, so they win ties against the
+   extensions. *)
+let all_algos =
+  [ Plan.NL; Plan.NOJOIN; Plan.PHJ; Plan.CHJ; Plan.PHHJ; Plan.CHHJ; Plan.SMJ ]
 
 let indexable db ~cls preds =
   List.filter_map
@@ -31,8 +37,8 @@ let indexable db ~cls preds =
       | _ -> None)
     preds
 
-(* The most selective indexable conjunct (by catalog statistics), mirroring
-   the forced path's [choose_access]. *)
+(* The most selective indexable conjunct (by catalog statistics); the rest
+   stay residual. *)
 let best_index stats db ~cls preds =
   match indexable db ~cls preds with
   | [] -> None
@@ -88,6 +94,25 @@ let side_bytes stats ~cls ~var ~preds select =
 let partitions_for stats bytes =
   let budget = 0.8 *. float_of_int (Sc.available_bytes stats) in
   if budget <= 0.0 then 8 else max 1 (int_of_float (ceil (bytes /. budget)))
+
+(* Hybrid hashing: enough partitions that each spilled bucket of the build
+   side fits comfortably in memory; 1 for every other algorithm. *)
+let partitions stats bound algo =
+  match bound with
+  | Plan.B_selection _ -> 1
+  | Plan.B_hier
+      { parent_var; parent_cls; child_var; child_cls; parent_preds; child_preds;
+        select; _ } -> (
+      match algo with
+      | Plan.PHHJ ->
+          partitions_for stats
+            (side_bytes stats ~cls:parent_cls ~var:parent_var
+               ~preds:parent_preds select)
+      | Plan.CHHJ ->
+          partitions_for stats
+            (side_bytes stats ~cls:child_cls ~var:child_var ~preds:child_preds
+               select)
+      | Plan.NL | Plan.NOJOIN | Plan.PHJ | Plan.CHJ | Plan.SMJ -> 1)
 
 let candidates stats db bound =
   match bound with
@@ -145,18 +170,7 @@ let candidates stats db bound =
               | Plan.SMJ ->
                   side_accesses stats db ~cls:child_cls child_preds
             in
-            let partitions =
-              match algo with
-              | Plan.PHHJ ->
-                  partitions_for stats
-                    (side_bytes stats ~cls:parent_cls ~var:parent_var
-                       ~preds:parent_preds select)
-              | Plan.CHHJ ->
-                  partitions_for stats
-                    (side_bytes stats ~cls:child_cls ~var:child_var
-                       ~preds:child_preds select)
-              | Plan.NL | Plan.NOJOIN | Plan.PHJ | Plan.CHJ | Plan.SMJ -> 1
-            in
+            let partitions = partitions stats bound algo in
             List.concat_map
               (fun (parent_access, pad) ->
                 List.concat_map
@@ -188,4 +202,4 @@ let candidates stats db bound =
                       packed_modes)
                   child_opts)
               parent_opts)
-        Estimate.all_algos
+        all_algos

@@ -4,25 +4,6 @@ type organization =
   | Shared_composition
   | Assoc_clustered
 
-type side = {
-  card : int;
-  pages : int;
-  sel : float;
-  has_index : bool;
-  index_clustered : bool;
-  payload_bytes : int;
-}
-
-type env = {
-  cost : Tb_sim.Cost_model.t;
-  organization : organization;
-  client_cache_pages : int;
-  parent : side;
-  child : side;
-  fanout : float;
-  result_bytes_per_row : int;
-}
-
 let fi = float_of_int
 
 (* Effective cost of moving one cold page up to the client: disk read plus
@@ -82,196 +63,15 @@ let swap_ms cost ~bytes ~ops =
     let p = Float.min 1.0 (excess *. cost.Tb_sim.Cost_model.thrash_factor) in
     ops *. p *. cost.Tb_sim.Cost_model.swap_fault_ms
 
-(* --- selections (single side: we use [parent]) --- *)
-
-let selection_seq_ms env =
-  let c = env.cost and s = env.parent in
-  let n = fi s.card in
-  seq_ms c s.pages +. (n *. handle_pair_ms c) +. append_ms c (s.sel *. n)
-
-let selection_index_ms env ~sorted =
-  let c = env.cost and s = env.parent in
-  let k = s.sel *. fi s.card in
-  let leaf = leaf_pages k *. cold_page_ms c in
-  let fetch =
-    if s.index_clustered then
-      (* Contiguous keys sit on contiguous pages. *)
-      s.sel *. fi s.pages *. cold_page_ms c
-    else if sorted then distinct_pages ~n:k ~pages:(fi s.pages) () *. cold_page_ms c
-    else
-      random_fetch_ms ~cost:c ~n:k ~pages:(fi s.pages)
-        ~cache:(fi env.client_cache_pages) ()
-  in
-  let sort = if sorted then sort_ms c k else 0.0 in
-  leaf +. fetch +. sort +. (k *. handle_pair_ms c) +. append_ms c k
-
-(* --- joins --- *)
-
-(* Pages to read one side's selected objects through its (sorted) index, or
-   by scanning.  Under a shared file, touching a fraction of an extent
-   means touching that fraction of the whole file. *)
-let side_read_ms env s =
-  let c = env.cost in
-  let k = s.sel *. fi s.card in
-  if s.has_index then
-    let data =
-      if s.index_clustered then s.sel *. fi s.pages
-      else distinct_pages ~n:k ~pages:(fi s.pages) ()
-    in
-    (leaf_pages k +. data) *. cold_page_ms c
-  else seq_ms c s.pages
-
-let result_rows env =
-  env.parent.sel *. env.child.sel *. fi env.child.card
-
-(* Resident result memory: the collection spills sequentially past physical
-   memory, so at most ~RAM of it stays resident. *)
-let result_mem env =
-  Float.min
-    (result_rows env *. fi env.result_bytes_per_row)
-    (0.9 *. fi (Tb_sim.Cost_model.available_bytes env.cost))
-
-let join_ms env algo =
-  let c = env.cost in
-  let p = env.parent and ch = env.child in
-  let np_sel = p.sel *. fi p.card in
-  let nc_sel = ch.sel *. fi ch.card in
-  let rows = result_rows env in
-  let build_result = append_ms c rows in
-  match algo with
-  | Plan.NL ->
-      (* Parents through their index; every child of a selected parent is
-         fetched and tested. *)
-      let children_touched = np_sel *. env.fanout in
-      let parent_read = side_read_ms env p in
-      let child_read =
-        match env.organization with
-        | Shared_composition ->
-            (* The children sit on the pages the parent sweep already
-               read. *)
-            0.0
-        | Assoc_clustered ->
-            (* Children live in their own file but in parent order: the
-               fetches are one sequential sweep over the touched slice. *)
-            let per_page = Float.max 1.0 (fi ch.card /. Float.max 1.0 (fi ch.pages)) in
-            children_touched /. per_page *. cold_page_ms c
-        | Separate_files | Shared_random ->
-            random_fetch_ms ~cost:c ~n:children_touched ~pages:(fi ch.pages)
-              ~cache:(fi env.client_cache_pages) ()
-      in
-      parent_read +. child_read
-      +. ((np_sel +. children_touched) *. handle_pair_ms c)
-      +. build_result
-      +. swap_ms c ~bytes:(result_mem env) ~ops:0.0
-  | Plan.NOJOIN ->
-      (* Children through their index; one parent navigation per selected
-         child. *)
-      let child_read = side_read_ms env ch in
-      let parent_read =
-        match env.organization with
-        | Shared_composition -> 0.0 (* the parent is on a nearby page *)
-        | Assoc_clustered ->
-            (* Children arrive in parent order, so parent fetches sweep the
-               parent file at most once. *)
-            distinct_pages ~n:nc_sel ~pages:(fi p.pages) () *. cold_page_ms c
-        | Separate_files | Shared_random ->
-            random_fetch_ms ~cost:c ~n:nc_sel ~pages:(fi p.pages)
-              ~cache:(fi env.client_cache_pages) ()
-      in
-      (* Distinct parents get a Handle; repeats are resident hits. *)
-      let parent_handles = Float.min nc_sel (fi p.card) in
-      child_read +. parent_read
-      +. ((nc_sel +. parent_handles) *. handle_pair_ms c)
-      +. build_result
-      +. swap_ms c ~bytes:(result_mem env) ~ops:0.0
-  | Plan.PHJ ->
-      let table_bytes =
-        np_sel *. fi (p.payload_bytes + Mem_hash.entry_overhead + Mem_hash.group_overhead)
-      in
-      let mem = table_bytes +. result_mem env in
-      side_read_ms env p +. side_read_ms env ch
-      +. ((np_sel +. nc_sel) *. handle_pair_ms c)
-      +. (np_sel *. c.Tb_sim.Cost_model.hash_insert_us /. 1000.0)
-      +. (nc_sel *. c.Tb_sim.Cost_model.hash_probe_us /. 1000.0)
-      +. build_result
-      +. swap_ms c ~bytes:mem ~ops:(np_sel +. nc_sel)
-  | Plan.CHJ ->
-      let groups = Float.min np_sel (fi p.card) in
-      let table_bytes =
-        (nc_sel *. fi (ch.payload_bytes + Mem_hash.entry_overhead))
-        +. (groups *. fi Mem_hash.group_overhead)
-      in
-      let mem = table_bytes +. result_mem env in
-      side_read_ms env p +. side_read_ms env ch
-      +. ((np_sel +. nc_sel) *. handle_pair_ms c)
-      +. (nc_sel *. c.Tb_sim.Cost_model.hash_insert_us /. 1000.0)
-      +. (np_sel *. c.Tb_sim.Cost_model.hash_probe_us /. 1000.0)
-      +. build_result
-      +. swap_ms c ~bytes:mem ~ops:(np_sel +. nc_sel)
-  | Plan.PHHJ | Plan.CHHJ ->
-      (* Hybrid hashing: instead of swapping, the overflow fraction of both
-         sides is written out and read back once. *)
-      let build_n, probe_n, build_payload, probe_payload =
-        if algo = Plan.PHHJ then (np_sel, nc_sel, p.payload_bytes, ch.payload_bytes)
-        else (nc_sel, np_sel, ch.payload_bytes, p.payload_bytes)
-      in
-      let table_bytes =
-        build_n *. fi (build_payload + Mem_hash.entry_overhead + Mem_hash.group_overhead)
-      in
-      let budget = 0.8 *. fi (Tb_sim.Cost_model.available_bytes c) in
-      let sf =
-        if budget <= 0.0 then 1.0
-        else Float.max 0.0 (1.0 -. (budget /. table_bytes))
-      in
-      let spill_bytes =
-        sf *. ((build_n *. fi (build_payload + 20)) +. (probe_n *. fi (probe_payload + 20)))
-      in
-      let spill_io =
-        2.0 *. spill_bytes /. fi c.Tb_sim.Cost_model.page_size *. cold_page_ms c
-      in
-      side_read_ms env p +. side_read_ms env ch
-      +. ((np_sel +. nc_sel) *. handle_pair_ms c)
-      +. (build_n *. c.Tb_sim.Cost_model.hash_insert_us *. (1.0 +. sf) /. 1000.0)
-      +. (probe_n *. c.Tb_sim.Cost_model.hash_probe_us *. (1.0 +. sf) /. 1000.0)
-      +. spill_io +. build_result
-  | Plan.SMJ ->
-      let run_ms n bytes =
-        let sorted = sort_ms c n in
-        let avail = fi (Tb_sim.Cost_model.available_bytes c) in
-        let external_io =
-          if bytes > avail && avail > 0.0 then
-            let passes = ceil (log (bytes /. avail) /. log 8.0) in
-            2.0 *. passes *. bytes /. fi c.Tb_sim.Cost_model.page_size
-            *. cold_page_ms c
-          else 0.0
-        in
-        sorted +. external_io
-      in
-      let p_bytes = np_sel *. fi (p.payload_bytes + 16) in
-      let c_bytes = nc_sel *. fi (ch.payload_bytes + 16) in
-      side_read_ms env p +. side_read_ms env ch
-      +. ((np_sel +. nc_sel) *. handle_pair_ms c)
-      +. run_ms np_sel p_bytes +. run_ms nc_sel c_bytes
-      +. ((np_sel +. nc_sel) *. c.Tb_sim.Cost_model.compare_us /. 1000.0)
-      +. build_result
-
-let all_algos =
-  [ Plan.NL; Plan.NOJOIN; Plan.PHJ; Plan.CHJ; Plan.PHHJ; Plan.CHHJ; Plan.SMJ ]
-
-let rank_joins env =
-  List.sort
-    (fun (_, a) (_, b) -> Float.compare a b)
-    (List.map (fun a -> (a, join_ms env a)) all_algos)
-
 (* ===== per-operator estimation: the optimizer's cost stage =====
 
-   The closed forms above predict a whole query at once; the optimizer
-   pipeline needs the same components attached to the operators that will
-   actually accrue them, so the validate stage can reconcile prediction
-   against the accounted frames node by node.  [annotate] walks a lowered
-   tree bottom-up, threading an estimated row stream, and writes one
-   {!Op.est} per node; every ms figure passes through the catalog's
-   per-key correction before landing, which is what makes repeated queries
+   The primitives above are the components the simulator charges; the
+   optimizer needs them attached to the operators that will actually
+   accrue them, so the validate stage can reconcile prediction against the
+   accounted frames node by node.  [annotate] walks a lowered tree
+   bottom-up, threading an estimated row stream, and writes one {!Op.est}
+   per node; every ms figure passes through the catalog's per-key
+   correction before landing, which is what makes repeated queries
    converge after feedback.  Pure arithmetic over {!Tb_statcore}
    statistics: no database access, no charges (treelint R1 keeps costing
    code out of the charging set). *)

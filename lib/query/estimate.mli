@@ -1,11 +1,14 @@
-(** Cost formulas for the optimizer.
+(** The optimizer's cost model.
 
     The project the paper set out on — "what statistics the system should
-    maintain and how to incorporate them into a cost model" — distilled into
-    closed-form estimates of the event counts the simulator charges: page
-    reads (sequential vs random through an LRU cache), Handle pairs, hash
-    traffic, Rid sorts, result construction and swap thrash.  The cost-based
-    planner ranks access paths and the four join algorithms with these. *)
+    maintain and how to incorporate them into a cost model" — distilled
+    into per-operator estimates of the event counts the simulator charges:
+    page reads (sequential vs random through an LRU cache), Handle pairs,
+    hash traffic, Rid sorts, result construction and swap thrash.
+    {!annotate} writes one estimate on every operator of a lowered tree and
+    {!plan_cost_ms} sums them; {!Planner.optimize} ranks candidate plans by
+    that sum.  This is the only cost model: pinned plans are built without
+    one. *)
 
 type organization =
   | Separate_files  (** one file per class (Figure 2 left) *)
@@ -16,68 +19,20 @@ type organization =
       (** Section 5.3's alternative: separate files, children stored in
           parent-association order *)
 
-(** One side of a query: an extent with a selectivity already folded in. *)
-type side = {
-  card : int;  (** extent cardinality *)
-  pages : int;  (** pages of the file holding the extent *)
-  sel : float;  (** fraction surviving this side's predicates *)
-  has_index : bool;  (** a usable index covers the predicate window *)
-  index_clustered : bool;
-  payload_bytes : int;  (** bytes of this side stowed per hash entry *)
-}
-
-type env = {
-  cost : Tb_sim.Cost_model.t;
-  organization : organization;
-  client_cache_pages : int;
-  parent : side;
-  child : side;
-  fanout : float;  (** average children per parent *)
-  result_bytes_per_row : int;
-}
-
 (** Expected distinct pages touched when [n] uniform references hit a
     [pages]-page file.  Clamped at both boundaries: zero when the file is
     empty (or [n] non-positive), and saturating at [pages] once [n] covers
     every stored row ([rows_per_page], default infinity, sets that limit). *)
 val distinct_pages : ?rows_per_page:float -> n:float -> pages:float -> unit -> float
 
-(** Cost (ms) of [n] random record fetches against a [pages]-page file
-    behind an LRU cache of [cache] pages, cold start. *)
-val random_fetch_ms :
-  ?rows_per_page:float ->
-  cost:Tb_sim.Cost_model.t ->
-  n:float ->
-  pages:float ->
-  cache:float ->
-  unit ->
-  float
-
-(** {2 Selections} *)
-
-val selection_seq_ms : env -> float
-val selection_index_ms : env -> sorted:bool -> float
-
-(** {2 Joins} — cost (ms) of each Section 5.1 algorithm. *)
-
-val join_ms : env -> Plan.join_algo -> float
-
-(** Every join algorithm, in a fixed order. *)
-val all_algos : Plan.join_algo list
-
-(** All algorithms ranked, best first (ties keep [all_algos] order, so the
-    paper's four originals win ties against the extensions). *)
-val rank_joins : env -> (Plan.join_algo * float) list
-
 (** {2 Per-operator estimation — the optimizer's cost stage}
 
-    Where the closed forms above predict a whole query at once, [annotate]
-    attaches the same components to the operators that will actually accrue
-    them, writing one {!Op.est} per node of a lowered tree.  Pure
-    arithmetic over {!Tb_statcore.Stat_catalog} statistics — no database
-    access, no charges — and every ms figure passes through the catalog's
-    per-key correction, which is how validate-stage feedback reaches the
-    next optimization round. *)
+    [annotate] attaches the cost components to the operators that will
+    actually accrue them, writing one {!Op.est} per node of a lowered
+    tree.  Pure arithmetic over {!Tb_statcore.Stat_catalog} statistics —
+    no database access, no charges — and every ms figure passes through
+    the catalog's per-key correction, which is how validate-stage feedback
+    reaches the next optimization round. *)
 
 (** The feedback/correction key for an operator: its opcode plus the class
     it works over, so the two sides of a join correct independently. *)

@@ -417,7 +417,7 @@ end
 
    Acct attributes what actually accrued; Est carries what the optimizer
    predicted would accrue.  Both hang off the same node so the validate
-   stage (and the --optimize --explain report) can put the two columns side
+   stage (and the optimizer's explain report) can put the two columns side
    by side and compute per-operator q-errors. *)
 module Est = struct
   let set node e = node.est <- Some e

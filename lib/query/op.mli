@@ -196,8 +196,9 @@ end
     The cost stage's mirror of {!Acct}: where Acct attributes what actually
     accrued to each operator, Est carries what the optimizer predicted.
     Both hang off the same node, so the validate stage can compute
-    per-operator q-errors and the [--optimize --explain] report can print
-    the two columns side by side. *)
+    per-operator q-errors and the optimizer's explain report
+    ([treebench query --explain] on an unpinned query) can print the two
+    columns side by side. *)
 module Est : sig
   val set : t -> est -> unit
   val get : t -> est option

@@ -78,13 +78,15 @@ let extent_class schema name =
     ->
       cls
   | Some _ -> raise (Unsupported ("root " ^ name ^ " is not an object extent"))
-  | None -> invalid_arg ("unknown extent " ^ name)
+  | None -> raise (Unsupported ("unknown extent " ^ name))
 
-let check_attr schema ~cls ~attr =
+let attr_type schema ~cls ~attr =
   match Schema.attr_type schema ~cls ~attr with
-  | _ -> ()
+  | ty -> ty
   | exception Not_found ->
-      invalid_arg (Printf.sprintf "class %s has no attribute %s" cls attr)
+      raise (Unsupported (Printf.sprintf "class %s has no attribute %s" cls attr))
+
+let check_attr schema ~cls ~attr = ignore (attr_type schema ~cls ~attr)
 
 (* Normalize one conjunct into (var, attr_pred). *)
 let normalize_conjunct vars = function
@@ -100,11 +102,18 @@ let normalize_conjunct vars = function
            (Format.asprintf "predicate %a is not of the form var.attr CMP const"
               Oql_ast.pp_pred p))
 
-let check_select_vars vars select =
+(* Every variable the projection uses is bound, and every attribute it
+   reads exists on that variable's class.  [vars] maps variable to class. *)
+let check_select schema vars select =
+  let cls_of v =
+    match List.assoc_opt v vars with
+    | Some cls -> cls
+    | None -> raise (Unsupported ("unknown variable " ^ v))
+  in
   let rec go = function
     | Oql_ast.Const _ -> ()
-    | Oql_ast.Var v | Oql_ast.Path (v, _) ->
-        if not (List.mem v vars) then invalid_arg ("unknown variable " ^ v)
+    | Oql_ast.Var v -> ignore (cls_of v)
+    | Oql_ast.Path (v, attr) -> check_attr schema ~cls:(cls_of v) ~attr
     | Oql_ast.Mk_tuple fields -> List.iter (fun (_, e) -> go e) fields
   in
   go select
@@ -130,15 +139,11 @@ let bind db (q : Oql_ast.query) =
   match q.Oql_ast.from with
   | [ { var; source = Oql_ast.Extent root } ] ->
       let cls = extent_class schema root in
-      check_select_vars [ var ] select;
+      check_select schema [ (var, cls) ] select;
       let preds =
         List.map (normalize_conjunct [ var ]) (Oql_ast.conjuncts q.Oql_ast.where)
       in
-      List.iter
-        (fun (v, p) ->
-          assert (String.equal v var);
-          check_attr schema ~cls ~attr:p.attr)
-        preds;
+      List.iter (fun (_, p) -> check_attr schema ~cls ~attr:p.attr) preds;
       B_selection { var; cls; preds = List.map snd preds; select; aggregate }
   | [
    { var = parent_var; source = Oql_ast.Extent root };
@@ -151,19 +156,17 @@ let bind db (q : Oql_ast.query) =
                 child_var owner set_attr owner));
       let parent_cls = extent_class schema root in
       let child_cls =
-        match Schema.attr_type schema ~cls:parent_cls ~attr:set_attr with
+        match attr_type schema ~cls:parent_cls ~attr:set_attr with
         | Schema.TSet (Schema.TRef c) | Schema.TList (Schema.TRef c) -> c
         | _ ->
             raise
               (Unsupported
                  (Printf.sprintf "%s.%s is not a collection of objects"
                     parent_cls set_attr))
-        | exception Not_found ->
-            invalid_arg
-              (Printf.sprintf "class %s has no attribute %s" parent_cls set_attr)
       in
       let vars = [ parent_var; child_var ] in
-      check_select_vars vars select;
+      check_select schema [ (parent_var, parent_cls); (child_var, child_cls) ]
+        select;
       let preds =
         List.map (normalize_conjunct vars) (Oql_ast.conjuncts q.Oql_ast.where)
       in

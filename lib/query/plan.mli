@@ -90,9 +90,11 @@ type bound =
 
 (** [bind db q] resolves extents against the schema roots, splits the
     predicate per range variable, and infers the child→parent inverse
-    attribute from the schema when one exists.
-    Raises {!Unsupported} on queries outside the subset, [Invalid_argument]
-    on unknown names/attributes. *)
+    attribute from the schema when one exists.  Every extent, variable,
+    predicate attribute, set attribute and projected attribute is checked
+    against the schema.  Raises {!Unsupported}, naming the offending
+    extent or attribute, on anything unknown or outside the subset — the
+    one front door for pinned and optimized planning alike. *)
 val bind : Tb_store.Database.t -> Oql_ast.query -> bound
 
 (** {2 Helpers shared with the executor and planner} *)

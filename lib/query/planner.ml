@@ -1,96 +1,6 @@
 module Database = Tb_store.Database
 module Index_def = Tb_store.Index_def
-module Schema = Tb_store.Schema
-
-type mode = Heuristic | Cost_based
-
-(* --- statistics --- *)
-
-let pred_selectivity db ~cls (p : Plan.attr_pred) =
-  match (Plan.key_range p, Database.find_index db ~cls ~attr:p.Plan.attr) with
-  | Some (lo, hi), Some ix ->
-      let below = function
-        | Some k -> Index_def.selectivity_below ix k
-        | None -> 1.0
-      in
-      let above = match lo with Some k -> Index_def.selectivity_below ix k | None -> 0.0 in
-      Float.max 0.001 (below hi -. above)
-  | _ -> (
-      (* System-R style magic numbers when no statistics help. *)
-      match p.Plan.cmp with
-      | Oql_ast.Eq -> 0.01
-      | Oql_ast.Ne -> 0.99
-      | Oql_ast.Lt | Oql_ast.Le | Oql_ast.Gt | Oql_ast.Ge -> 1.0 /. 3.0)
-
-let side_selectivity db ~cls preds =
-  List.fold_left (fun acc p -> acc *. pred_selectivity db ~cls p) 1.0 preds
-
-(* --- access path construction --- *)
-
-(* Choose the most selective indexable conjunct; the rest stay residual. *)
-let choose_access db ~cls ~preds ~sorted ~force_seq =
-  let candidates =
-    if force_seq then []
-    else
-      List.filter_map
-        (fun p ->
-          match (Plan.key_range p, Database.find_index db ~cls ~attr:p.Plan.attr) with
-          | Some (lo, hi), Some ix -> Some (p, ix, lo, hi, pred_selectivity db ~cls p)
-          | _ -> None)
-        preds
-  in
-  match candidates with
-  | [] -> Plan.Seq_scan { cls; preds }
-  | _ :: _ ->
-      let best =
-        List.fold_left
-          (fun acc c ->
-            let _, _, _, _, sel = c and _, _, _, _, best_sel = acc in
-            if sel < best_sel then c else acc)
-          (List.hd candidates) (List.tl candidates)
-      in
-      let chosen, index, lo, hi, _ = best in
-      let residual = List.filter (fun p -> p != chosen) preds in
-      Plan.Index_scan { index; lo; hi; sorted; residual }
-
-let rough_attr_bytes schema ~cls attr =
-  match Schema.attr_type schema ~cls ~attr with
-  | Schema.TInt -> 5
-  | Schema.TString -> 21
-  | Schema.TChar | Schema.TBool -> 2
-  | Schema.TReal -> 9
-  | Schema.TRef _ -> 9
-  | Schema.TSet _ | Schema.TList _ | Schema.TTuple _ -> 16
-  | exception Not_found -> 9
-
-let payload_bytes_of db ~cls ~var select =
-  let attrs, _self = Plan.needed_attrs var select in
-  List.fold_left
-    (fun acc a -> acc + rough_attr_bytes (Database.schema db) ~cls a)
-    Tb_storage.Rid.on_disk_bytes attrs
-
-(* --- env assembly --- *)
-
-let make_side db ~cls ~preds ~payload =
-  let card = Database.cardinality db ~cls in
-  let pages = Database.extent_pages db ~cls in
-  let indexable =
-    List.filter_map
-      (fun p ->
-        match (Plan.key_range p, Database.find_index db ~cls ~attr:p.Plan.attr) with
-        | Some _, Some ix -> Some ix
-        | _ -> None)
-      preds
-  in
-  {
-    Estimate.card;
-    pages;
-    sel = side_selectivity db ~cls preds;
-    has_index = (match indexable with [] -> false | _ -> true);
-    index_clustered =
-      (match indexable with ix :: _ -> Index_def.is_clustered ix | [] -> false);
-    payload_bytes = payload;
-  }
+module Sc = Tb_statcore.Stat_catalog
 
 let default_organization db ~parent_cls ~child_cls =
   let same =
@@ -99,198 +9,13 @@ let default_organization db ~parent_cls ~child_cls =
   in
   if same then Estimate.Shared_random else Estimate.Separate_files
 
-let join_env db bound ~organization =
-  match bound with
-  | Plan.B_selection _ -> invalid_arg "Planner.join_env: not a join"
-  | Plan.B_hier
-      {
-        parent_var;
-        parent_cls;
-        child_var;
-        child_cls;
-        parent_preds;
-        child_preds;
-        select;
-        _;
-      } ->
-      let sim = Database.sim db in
-      let parent =
-        make_side db ~cls:parent_cls ~preds:parent_preds
-          ~payload:(payload_bytes_of db ~cls:parent_cls ~var:parent_var select)
-      in
-      let child =
-        make_side db ~cls:child_cls ~preds:child_preds
-          ~payload:(payload_bytes_of db ~cls:child_cls ~var:child_var select)
-      in
-      {
-        Estimate.cost = sim.Tb_sim.Sim.cost;
-        organization;
-        client_cache_pages =
-          Tb_storage.Cache_stack.client_capacity (Database.stack db);
-        parent;
-        child;
-        fanout =
-          (if parent.Estimate.card = 0 then 0.0
-           else float_of_int child.Estimate.card /. float_of_int parent.Estimate.card);
-        result_bytes_per_row =
-          parent.Estimate.payload_bytes + child.Estimate.payload_bytes + 16;
-      }
-
-(* --- plan construction --- *)
-
-let selection_plan db ~mode ~force_sorted ~force_seq ~var ~cls ~preds ~select
-    ~aggregate =
-  let sorted =
-    match force_sorted with
-    | Some s -> s
-    | None -> (
-        match mode with
-        | Heuristic -> false (* O2 fetched in index order, unsorted *)
-        | Cost_based ->
-            (* Sorting the Rids is the Section 4.2 win; cost it both ways. *)
-            let side = make_side db ~cls ~preds ~payload:16 in
-            let env =
-              {
-                Estimate.cost = (Database.sim db).Tb_sim.Sim.cost;
-                organization = Estimate.Separate_files;
-                client_cache_pages =
-                  Tb_storage.Cache_stack.client_capacity (Database.stack db);
-                parent = side;
-                child = side;
-                fanout = 0.0;
-                result_bytes_per_row = 24;
-              }
-            in
-            Estimate.selection_index_ms env ~sorted:true
-            <= Estimate.selection_index_ms env ~sorted:false)
-  in
-  let access = choose_access db ~cls ~preds ~sorted ~force_seq in
-  (* Cost-based planning falls back to the scan when the index loses (the
-     1%-5% crossover of Section 4.2). *)
-  let access =
-    match (mode, access) with
-    | Cost_based, Plan.Index_scan { sorted; _ } ->
-        let side = make_side db ~cls ~preds ~payload:16 in
-        let env =
-          {
-            Estimate.cost = (Database.sim db).Tb_sim.Sim.cost;
-            organization = Estimate.Separate_files;
-            client_cache_pages =
-              Tb_storage.Cache_stack.client_capacity (Database.stack db);
-            parent = side;
-            child = side;
-            fanout = 0.0;
-            result_bytes_per_row = 24;
-          }
-        in
-        if
-          Estimate.selection_seq_ms env
-          < Estimate.selection_index_ms env ~sorted
-          && not (force_seq || Option.is_some force_sorted)
-        then Plan.Seq_scan { cls; preds }
-        else access
-    | _ -> access
-  in
-  Plan.Selection { var; cls; access; select; aggregate }
-
-let join_plan db ~mode ~organization ~force_algo ~force_sorted ~force_seq bound =
-  match bound with
-  | Plan.B_selection _ -> assert false
-  | Plan.B_hier
-      {
-        parent_var;
-        parent_cls;
-        child_var;
-        child_cls;
-        set_attr;
-        inv_attr;
-        parent_preds;
-        child_preds;
-        select;
-        aggregate;
-      } ->
-      let organization =
-        match organization with
-        | Some o -> o
-        | None -> default_organization db ~parent_cls ~child_cls
-      in
-      let env = join_env db bound ~organization in
-      let algo =
-        match force_algo with
-        | Some a -> a
-        | None -> (
-            match mode with
-            | Heuristic -> Plan.NL (* the navigation bias of Section 2 *)
-            | Cost_based ->
-                let viable (a, _) =
-                  match a with
-                  | Plan.NL -> true
-                  | Plan.NOJOIN | Plan.PHJ | Plan.CHJ | Plan.PHHJ | Plan.CHHJ
-                  | Plan.SMJ ->
-                      Option.is_some inv_attr
-                in
-                (match List.filter viable (Estimate.rank_joins env) with
-                | (a, _) :: _ -> a
-                | [] -> Plan.NL))
-      in
-      (* Hybrid hashing: enough partitions that each spilled bucket fits
-         comfortably in memory. *)
-      let partitions =
-        let budget =
-          0.8 *. float_of_int (Tb_sim.Cost_model.available_bytes
-                                 (Database.sim db).Tb_sim.Sim.cost)
-        in
-        let build_side_bytes =
-          let side_bytes (s : Estimate.side) =
-            s.Estimate.sel *. float_of_int s.Estimate.card
-            *. float_of_int
-                 (s.Estimate.payload_bytes + Mem_hash.entry_overhead
-                + Mem_hash.group_overhead)
-          in
-          match algo with
-          | Plan.PHHJ -> side_bytes env.Estimate.parent
-          | Plan.CHHJ -> side_bytes env.Estimate.child
-          | Plan.NL | Plan.NOJOIN | Plan.PHJ | Plan.CHJ | Plan.SMJ -> 0.0
-        in
-        if budget <= 0.0 then 8
-        else max 1 (int_of_float (ceil (build_side_bytes /. budget)))
-      in
-      let sorted = match force_sorted with Some s -> s | None -> mode = Cost_based in
-      let idx cls preds =
-        choose_access db ~cls ~preds ~sorted ~force_seq
-      in
-      let seq cls preds = Plan.Seq_scan { cls; preds } in
-      let parent_access, child_access =
-        match algo with
-        | Plan.NL -> (idx parent_cls parent_preds, seq child_cls child_preds)
-        | Plan.NOJOIN -> (seq parent_cls parent_preds, idx child_cls child_preds)
-        | Plan.PHJ | Plan.CHJ | Plan.PHHJ | Plan.CHHJ | Plan.SMJ ->
-            (idx parent_cls parent_preds, idx child_cls child_preds)
-      in
-      Plan.Hier_join
-        {
-          algo;
-          parent_var;
-          parent_cls;
-          child_var;
-          child_cls;
-          set_attr;
-          inv_attr;
-          parent_access;
-          child_access;
-          partitions;
-          select;
-          aggregate;
-        }
-
-let plan ?(mode = Cost_based) ?organization ?force_algo ?force_sorted
-    ?(force_seq = false) db q =
-  match Plan.bind db q with
-  | Plan.B_selection { var; cls; preds; select; aggregate } ->
-      selection_plan db ~mode ~force_sorted ~force_seq ~var ~cls ~preds ~select
-        ~aggregate
-  | Plan.B_hier _ as bound ->
-      join_plan db ~mode ~organization ~force_algo ~force_sorted ~force_seq bound
+let organization_for db bound = function
+  | Some o -> o
+  | None -> (
+      match bound with
+      | Plan.B_hier { parent_cls; child_cls; _ } ->
+          default_organization db ~parent_cls ~child_cls
+      | Plan.B_selection _ -> Estimate.Separate_files)
 
 (* --- lowering: Plan.t -> physical operator tree --- *)
 
@@ -655,62 +380,7 @@ let lower_sharded ?(packed = true) ?(batch = 256) smap plan =
     Op.make
       (Op.Gather { lanes; shards; part_key = Shard_map.key_attr smap; ordered })
 
-let run ?mode ?organization ?force_algo ?force_sorted ?force_seq ?packed ?batch
-    ?(keep = false) db text =
-  let q = Oql_parser.parse text in
-  let p = plan ?mode ?organization ?force_algo ?force_sorted ?force_seq db q in
-  Exec.run db (lower ?packed ?batch p) ~keep
-
-let run_explained ?mode ?organization ?force_algo ?force_sorted ?force_seq
-    ?packed ?batch ?(keep = false) db text =
-  let q = Oql_parser.parse text in
-  let p = plan ?mode ?organization ?force_algo ?force_sorted ?force_seq db q in
-  let root = lower ?packed ?batch p in
-  let result, global = Exec.run_explained db root ~keep in
-  (result, root, global)
-
-(* Planning happens against shard 0: every shard replicates the schema and
-   index set, and shard-0 statistics (1/S of the data) rank algorithms the
-   same way the global statistics do for our uniform generators. *)
-let run_sharded_explained ?mode ?organization ?force_algo ?force_sorted
-    ?force_seq ?packed ?batch ?(keep = false) smap text =
-  let db0 = Shard_map.shard smap 0 in
-  let q = Oql_parser.parse text in
-  let p = plan ?mode ?organization ?force_algo ?force_sorted ?force_seq db0 q in
-  let root = lower_sharded ?packed ?batch smap p in
-  if Shard_map.count smap = 1 then
-    let result, global = Exec.run_explained db0 root ~keep in
-    ( result,
-      root,
-      global,
-      {
-        Exec.lane_ms = [| global.Op.t_ms |];
-        merge_ms = 0.0;
-        elapsed_ms = global.Op.t_ms;
-        critical = 0;
-        failovers = [];
-        degraded = false;
-      } )
-  else
-    let result, global, lanes = Exec.run_sharded_explained smap root ~keep in
-    (result, root, global, lanes)
-
-let run_sharded ?mode ?organization ?force_algo ?force_sorted ?force_seq
-    ?packed ?batch ?keep smap text =
-  let result, _, _, _ =
-    run_sharded_explained ?mode ?organization ?force_algo ?force_sorted
-      ?force_seq ?packed ?batch ?keep smap text
-  in
-  result
-
-(* --- the optimizer pipeline: enumerate -> cost -> pick -> validate --- *)
-
-module Sc = Tb_statcore.Stat_catalog
-
-(* The explicit path under its pipeline name: benches and the golden
-   fingerprint lower a [plan]-chosen (or forced) plan directly, bypassing
-   enumeration.  Byte-identical to [lower] by construction. *)
-let lower_forced = lower
+(* --- the argmin: enumerate -> cost -> pick --- *)
 
 type choice = {
   ch_desc : string;
@@ -729,34 +399,20 @@ type decision = {
   d_organization : Estimate.organization;
 }
 
-(* [optimize db text] runs the first three stages: enumerate the candidate
-   space, lower and cost every candidate against catalog statistics, and
-   pick the argmin.  The argmin is strict-<, so on equal cost the FIRST
-   enumerated candidate wins — which is how the tie policy (originals over
-   extensions, index over scan, packed over handle) is enforced.
-
-   Statistics default to a fresh [Stat_catalog.analyze]; pass a retained
-   catalog to let validate-stage feedback from earlier runs reach this
-   optimization. *)
-let optimize ?stats ?organization ?(batch = 256) db text =
-  let q = Oql_parser.parse text in
-  let stats = match stats with Some s -> s | None -> Sc.analyze db in
-  let bound = Plan.bind db q in
-  let organization =
-    match organization with
-    | Some o -> o
-    | None -> (
-        match bound with
-        | Plan.B_hier { parent_cls; child_cls; _ } ->
-            default_organization db ~parent_cls ~child_cls
-        | Plan.B_selection _ -> Estimate.Separate_files)
+(* Lower and cost every candidate [honour] keeps (it may also rewrite one
+   to fit a pin), then pick the argmin.  The argmin is strict-<, so on
+   equal cost the FIRST enumerated candidate wins — which is how the tie
+   policy (originals over extensions, index over scan, packed over handle)
+   is enforced. *)
+let pick ?(honour = Option.some) ~stats ~organization ~batch db bound =
+  let score (c : Enumerate.candidate) =
+    let root = lower ~packed:c.Enumerate.c_packed ~batch c.Enumerate.c_plan in
+    Estimate.annotate ~stats ~organization root;
+    (c, root, Estimate.plan_cost_ms root)
   in
   let scored =
-    List.map
-      (fun (c : Enumerate.candidate) ->
-        let root = lower ~packed:c.Enumerate.c_packed ~batch c.Enumerate.c_plan in
-        Estimate.annotate ~stats ~organization root;
-        (c, root, Estimate.plan_cost_ms root))
+    List.filter_map
+      (fun c -> Option.map score (honour c))
       (Enumerate.candidates stats db bound)
   in
   match scored with
@@ -793,6 +449,169 @@ let optimize ?stats ?organization ?(batch = 256) db text =
         d_organization = organization;
       }
 
+(* --- plan: pinned plans built directly, the rest through the argmin --- *)
+
+(* One side of a pinned plan: the most selective indexable conjunct with
+   the pinned sorted-Rid flag, or a scan when [force_seq] says so or no
+   index applies. *)
+let pinned_access stats db ~cls ~preds ~sorted ~force_seq =
+  match
+    if force_seq then None
+    else Enumerate.best_index (Lazy.force stats) db ~cls preds
+  with
+  | Some index_scan -> index_scan ~sorted
+  | None -> Plan.Seq_scan { cls; preds }
+
+(* A partly pinned join (no [force_algo]) still honours the other pins:
+   [force_seq] keeps only scan-only candidates, [force_sorted] sets the
+   sorted-Rid flag of every index side.  A selection only reaches the
+   argmin unpinned. *)
+let honour ~force_seq ~force_sorted (c : Enumerate.candidate) =
+  let access = function
+    | Plan.Seq_scan _ as a -> Some a
+    | Plan.Index_scan _ when force_seq -> None
+    | Plan.Index_scan r ->
+        let sorted = Option.value force_sorted ~default:r.sorted in
+        Some (Plan.Index_scan { r with sorted })
+  in
+  match c.Enumerate.c_plan with
+  | Plan.Selection _ -> Some c
+  | Plan.Hier_join r -> (
+      match (access r.parent_access, access r.child_access) with
+      | Some parent_access, Some child_access ->
+          Some
+            {
+              c with
+              c_plan = Plan.Hier_join { r with parent_access; child_access };
+            }
+      | _ -> None)
+
+let plan ?organization ?force_algo ?force_sorted ?(force_seq = false) db q =
+  let bound = Plan.bind db q in
+  (* A pinned scan-only selection needs no statistics. *)
+  let stats = lazy (Sc.analyze db) in
+  match (bound, force_algo) with
+  | Plan.B_selection { var; cls; preds; select; aggregate }, _
+    when force_seq || Option.is_some force_sorted ->
+      let sorted = Option.value force_sorted ~default:false in
+      Plan.Selection
+        {
+          var;
+          cls;
+          access = pinned_access stats db ~cls ~preds ~sorted ~force_seq;
+          select;
+          aggregate;
+        }
+  | ( Plan.B_hier
+        {
+          parent_var;
+          parent_cls;
+          child_var;
+          child_cls;
+          set_attr;
+          inv_attr;
+          parent_preds;
+          child_preds;
+          select;
+          aggregate;
+        },
+      Some algo ) ->
+      let sorted = Option.value force_sorted ~default:true in
+      let idx cls preds = pinned_access stats db ~cls ~preds ~sorted ~force_seq in
+      let seq cls preds = Plan.Seq_scan { cls; preds } in
+      let parent_access, child_access =
+        match algo with
+        | Plan.NL -> (idx parent_cls parent_preds, seq child_cls child_preds)
+        | Plan.NOJOIN -> (seq parent_cls parent_preds, idx child_cls child_preds)
+        | Plan.PHJ | Plan.CHJ | Plan.PHHJ | Plan.CHHJ | Plan.SMJ ->
+            (idx parent_cls parent_preds, idx child_cls child_preds)
+      in
+      Plan.Hier_join
+        {
+          algo;
+          parent_var;
+          parent_cls;
+          child_var;
+          child_cls;
+          set_attr;
+          inv_attr;
+          parent_access;
+          child_access;
+          partitions = Enumerate.partitions (Lazy.force stats) bound algo;
+          select;
+          aggregate;
+        }
+  | Plan.B_selection _, _ | Plan.B_hier _, None ->
+      (pick ~stats:(Lazy.force stats)
+         ~organization:(organization_for db bound organization)
+         ~batch:256
+         ~honour:(honour ~force_seq ~force_sorted)
+         db bound)
+        .d_plan
+
+let plan_o2 db q = plan ~force_algo:Plan.NL ~force_sorted:false db q
+
+let run ?organization ?force_algo ?force_sorted ?force_seq ?packed ?batch
+    ?(keep = false) db text =
+  let q = Oql_parser.parse text in
+  let p = plan ?organization ?force_algo ?force_sorted ?force_seq db q in
+  Exec.run db (lower ?packed ?batch p) ~keep
+
+let run_explained ?organization ?force_algo ?force_sorted ?force_seq
+    ?packed ?batch ?(keep = false) db text =
+  let q = Oql_parser.parse text in
+  let p = plan ?organization ?force_algo ?force_sorted ?force_seq db q in
+  let root = lower ?packed ?batch p in
+  let result, global = Exec.run_explained db root ~keep in
+  (result, root, global)
+
+(* Planning happens against shard 0: every shard replicates the schema and
+   index set, and shard-0 statistics (1/S of the data) rank algorithms the
+   same way the global statistics do for our uniform generators. *)
+let run_sharded_explained ?organization ?force_algo ?force_sorted
+    ?force_seq ?packed ?batch ?(keep = false) smap text =
+  let db0 = Shard_map.shard smap 0 in
+  let q = Oql_parser.parse text in
+  let p = plan ?organization ?force_algo ?force_sorted ?force_seq db0 q in
+  let root = lower_sharded ?packed ?batch smap p in
+  if Shard_map.count smap = 1 then
+    let result, global = Exec.run_explained db0 root ~keep in
+    ( result,
+      root,
+      global,
+      {
+        Exec.lane_ms = [| global.Op.t_ms |];
+        merge_ms = 0.0;
+        elapsed_ms = global.Op.t_ms;
+        critical = 0;
+        failovers = [];
+        degraded = false;
+      } )
+  else
+    let result, global, lanes = Exec.run_sharded_explained smap root ~keep in
+    (result, root, global, lanes)
+
+let run_sharded ?organization ?force_algo ?force_sorted ?force_seq
+    ?packed ?batch ?keep smap text =
+  let result, _, _, _ =
+    run_sharded_explained ?organization ?force_algo ?force_sorted
+      ?force_seq ?packed ?batch ?keep smap text
+  in
+  result
+
+(* --- the optimizer pipeline: enumerate -> cost -> pick -> validate --- *)
+
+(* [optimize db text] runs the first three stages over the whole candidate
+   space.  Statistics default to a fresh [Stat_catalog.analyze]; pass a
+   retained catalog to let validate-stage feedback from earlier runs reach
+   this optimization. *)
+let optimize ?stats ?organization ?(batch = 256) db text =
+  let q = Oql_parser.parse text in
+  let stats = match stats with Some s -> s | None -> Sc.analyze db in
+  let bound = Plan.bind db q in
+  pick ~stats ~organization:(organization_for db bound organization) ~batch db
+    bound
+
 (* Optimize, execute, validate: the full four-stage pipeline.  The
    returned checks carry per-operator q-errors; mis-estimates have already
    fed corrections back into the decision's catalog. *)
@@ -801,12 +620,6 @@ let run_optimized_explained ?stats ?organization ?batch ?(keep = false) db text 
   let result, global = Exec.run_explained db d.d_root ~keep in
   let checks = Exec.validate ~stats:d.d_stats d.d_root in
   (result, d, global, checks)
-
-let run_optimized ?stats ?organization ?batch ?keep db text =
-  let result, _, _, _ =
-    run_optimized_explained ?stats ?organization ?batch ?keep db text
-  in
-  result
 
 (* --- sharded break-even from statistics alone --- *)
 

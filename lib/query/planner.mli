@@ -1,27 +1,35 @@
-(** Plan selection: the heuristic strategy O2 shipped with, and the
-    cost-based strategy the authors were working toward.
+(** Plan construction: pinned plans and the cost-based optimizer.
 
-    - [Heuristic] mimics the navigation-biased optimizer of Section 2: an
-      available index is always taken (unsorted — Section 4.2 shows O2 did
-      not sort Rids), and hierarchical joins are evaluated by navigation
-      (NL).
-    - [Cost_based] ranks every access path and join algorithm with
-      {!Estimate} and picks the cheapest — including the sorted-index-scan
-      and hybrid choices the paper's findings motivate. *)
+    A plan is {e pinned} when the caller fixes its choices: a selection by
+    [force_seq:true] or any [force_sorted], a join by [force_algo].  A
+    pinned plan is built directly, with no cost model: each side takes the
+    most selective indexable conjunct (sorted Rids unless
+    [force_sorted:false]; a scan under [force_seq] or when no index
+    applies), and hybrid joins get enough spill partitions for their build
+    side — the same {!Enumerate} helpers over one
+    {!Tb_statcore.Stat_catalog.analyze} the optimizer uses.  The figures,
+    the golden fingerprint and the host benchmark run pinned plans only.
 
-type mode = Heuristic | Cost_based
+    Every choice left unpinned goes through {!optimize}'s argmin over the
+    per-operator cost model ({!Estimate.annotate}), restricted to the
+    candidates that honour the pins given.
 
-(** [plan db q] chooses a physical plan.
+    O2's navigation-biased heuristic (Section 2: an available index is
+    always taken, unsorted — Section 4.2 shows O2 did not sort Rids — and
+    hierarchical joins are evaluated by navigation) is the pinned
+    configuration [~force_algo:NL ~force_sorted:false], named
+    {!plan_o2}. *)
 
-    [organization] tells the optimizer how the database was laid out
+(** [plan db q] binds [q] and builds its physical plan, pinned or chosen
+    by the optimizer as described above.
+
+    [organization] tells the cost model how the database was laid out
     (defaults to [Separate_files] when the two classes live in different
     files, [Shared_random] otherwise — composition clustering cannot be
-    detected from the catalog and must be declared).
-    [force_algo] pins the join algorithm (the benchmarks run all four);
-    [force_sorted] pins the sorted-Rid flag of index scans.
-    Raises {!Plan.Unsupported} on queries outside the subset. *)
+    detected from the catalog and must be declared); pinned plans ignore
+    it.  Raises {!Plan.Unsupported} on queries outside the subset or
+    naming unknown extents or attributes. *)
 val plan :
-  ?mode:mode ->
   ?organization:Estimate.organization ->
   ?force_algo:Plan.join_algo ->
   ?force_sorted:bool ->
@@ -30,11 +38,9 @@ val plan :
   Oql_ast.query ->
   Plan.t
 
-(** [join_env db bound ~organization] assembles the statistics {!Estimate}
-    needs for a bound hierarchical join (exposed for benches and tests).
-    Raises [Invalid_argument] if [bound] is a selection. *)
-val join_env :
-  Tb_store.Database.t -> Plan.bound -> organization:Estimate.organization -> Estimate.env
+(** [plan_o2 db q] is O2's heuristic plan: [plan ~force_algo:NL
+    ~force_sorted:false]. *)
+val plan_o2 : Tb_store.Database.t -> Oql_ast.query -> Plan.t
 
 (** [lower plan] assembles the physical operator tree {!Exec} runs.  Pure
     plan surgery — no database access, no charges: attribute names stay
@@ -56,7 +62,6 @@ val lower : ?packed:bool -> ?batch:int -> Plan.t -> Op.t
 
 (** Parse, plan and execute in one call (the public "just run it" API). *)
 val run :
-  ?mode:mode ->
   ?organization:Estimate.organization ->
   ?force_algo:Plan.join_algo ->
   ?force_sorted:bool ->
@@ -71,7 +76,6 @@ val run :
 (** Like {!run}, but returns the executed operator tree (frames populated)
     and the run's global counter deltas, ready for {!Op.pp_report}. *)
 val run_explained :
-  ?mode:mode ->
   ?organization:Estimate.organization ->
   ?force_algo:Plan.join_algo ->
   ?force_sorted:bool ->
@@ -97,7 +101,6 @@ val lower_sharded : ?packed:bool -> ?batch:int -> Tb_store.Shard_map.t -> Plan.t
 
 (** Parse, plan (against shard 0) and execute across the shard map. *)
 val run_sharded :
-  ?mode:mode ->
   ?organization:Estimate.organization ->
   ?force_algo:Plan.join_algo ->
   ?force_sorted:bool ->
@@ -114,7 +117,6 @@ val run_sharded :
     the {!Exec.lane_report} with per-shard elapsed and the critical-path
     shard.  At S=1 the report is a single lane equal to the run's total. *)
 val run_sharded_explained :
-  ?mode:mode ->
   ?organization:Estimate.organization ->
   ?force_algo:Plan.join_algo ->
   ?force_sorted:bool ->
@@ -126,15 +128,7 @@ val run_sharded_explained :
   string ->
   Query_result.t * Op.t * Op.totals * Exec.lane_report
 
-(** {2 The optimizer pipeline — enumerate → cost → pick → validate}
-
-    The explicit path above ([plan] + [lower], with its [force_*] knobs)
-    survives as the forced path; the pipeline below searches the whole
-    candidate space instead. *)
-
-(** [lower_forced] is {!lower} under its pipeline name: the forced path
-    benches and the golden fingerprint use, bypassing enumeration. *)
-val lower_forced : ?packed:bool -> ?batch:int -> Plan.t -> Op.t
+(** {2 The optimizer pipeline — enumerate → cost → pick → validate} *)
 
 (** One costed candidate, for explain output and snapshots. *)
 type choice = {
@@ -184,15 +178,6 @@ val run_optimized_explained :
   Tb_store.Database.t ->
   string ->
   Query_result.t * decision * Op.totals * Exec.est_check list
-
-val run_optimized :
-  ?stats:Tb_statcore.Stat_catalog.t ->
-  ?organization:Estimate.organization ->
-  ?batch:int ->
-  ?keep:bool ->
-  Tb_store.Database.t ->
-  string ->
-  Query_result.t
 
 (** The sharded-vs-unsharded break-even, decided from statistics alone. *)
 type shard_decision = {

@@ -128,6 +128,16 @@ let test_measurement_is_cold () =
   check_int "same reads" m1.Measurement.disk_reads m2.Measurement.disk_reads;
   check_bool "actually touched the disk" true (m1.Measurement.disk_reads > 0)
 
+let test_costmodel_verdict () =
+  (* The optimizer's per-operator model, costing each pinned join plan of
+     the costmodel figure, must keep picking the measured winner in at
+     least 7 of its 8 cells at the paper's reference 1/40 scale. *)
+  let hits, cells = Figures.costmodel_verdict (Figures.create ~scale:40) in
+  check_int "cells" 8 cells;
+  if hits < 7 then
+    Alcotest.failf "costmodel: predicted winner right in %d of %d cells" hits
+      cells
+
 let suite =
   [
     Alcotest.test_case "fig11 shape" `Slow test_fig11_shape;
@@ -142,6 +152,8 @@ let suite =
     Alcotest.test_case "figure drivers record stats" `Slow
       test_figures_run_and_record;
     Alcotest.test_case "figure registry" `Quick test_by_name_total;
+    Alcotest.test_case "costmodel: >= 7/8 winners at scale 40" `Slow
+      test_costmodel_verdict;
     Alcotest.test_case "cold measurements are deterministic" `Quick
       test_measurement_is_cold;
   ]

@@ -193,6 +193,25 @@ let test_select_constant_and_nil () =
     (List.map (fun v -> Value.equal v (Value.Int 7)) (Query_result.values r));
   Query_result.dispose r
 
+(* --- typed bind errors: unknown names fail at plan time --- *)
+
+(* [Planner.run] on a query naming something the schema lacks raises
+   [Plan.Unsupported] whose message names it, before any execution. *)
+let rejected_naming name oql () =
+  let db = (small_db ()).Tb_derby.Generator.db in
+  match Planner.run db oql ~keep:false with
+  | exception Plan.Unsupported msg ->
+      let mentions =
+        let n = String.length name and m = String.length msg in
+        let rec at i = i + n <= m && (String.sub msg i n = name || at (i + 1)) in
+        at 0
+      in
+      if not mentions then
+        Alcotest.failf "message %S does not name %s" msg name
+  | r ->
+      Query_result.dispose r;
+      Alcotest.failf "%s: accepted" oql
+
 (* --- schemas without an inverse reference --- *)
 
 let forest_schema =
@@ -240,12 +259,13 @@ let forest_db () =
 let test_no_inverse_falls_back_to_nl () =
   let db = forest_db () in
   let q = Oql_parser.parse "select k from p in ParentsExt, k in p.kids" in
-  (* Cost-based planning must not pick an algorithm that needs the missing
+  (* The optimizer must not pick an algorithm that needs the missing
      inverse. *)
-  (match Planner.plan ~mode:Planner.Cost_based db q with
+  let p = Planner.plan db q in
+  (match p with
   | Plan.Hier_join { algo = Plan.NL; inv_attr = None; _ } -> ()
   | p -> Alcotest.failf "expected NL, got %a" Plan.pp p);
-  let r = Exec.run db (Planner.lower (Planner.plan db q)) ~keep:true in
+  let r = Exec.run db (Planner.lower p) ~keep:true in
   check_int "all pairs" 40 (Query_result.count r);
   Query_result.dispose r;
   (* Forcing a child-to-parent algorithm raises Unsupported. *)
@@ -323,6 +343,16 @@ let suite =
       test_gt_and_multi_predicates;
     Alcotest.test_case "exec: constant projection" `Quick
       test_select_constant_and_nil;
+    Alcotest.test_case "bind: unknown projected attribute" `Quick
+      (rejected_naming "zzz" "select pa.zzz from pa in Patients");
+    Alcotest.test_case "bind: unknown extent" `Quick
+      (rejected_naming "Nope" "select pa.age from pa in Nope");
+    Alcotest.test_case "bind: unknown predicate attribute" `Quick
+      (rejected_naming "zzz"
+         "select pa.age from pa in Patients where pa.zzz < 3");
+    Alcotest.test_case "bind: unknown set attribute" `Quick
+      (rejected_naming "nokids"
+         "select pa.age from p in Providers, pa in p.nokids");
     Alcotest.test_case "no inverse: NL fallback, NOJOIN rejected" `Quick
       test_no_inverse_falls_back_to_nl;
     Alcotest.test_case "joins over spilled collections" `Quick

@@ -62,7 +62,7 @@ let forced_q b ?force_algo ?force_sorted ?force_seq oql =
   let organization = Generator.estimate_organization b.Generator.cfg in
   let ast = Oql_parser.parse oql in
   let plan = Planner.plan ~organization ?force_algo ?force_sorted ?force_seq db ast in
-  let root = Planner.lower_forced plan in
+  let root = Planner.lower plan in
   Estimate.annotate ~stats ~organization root;
   Database.cold_restart db;
   let r, _totals = Exec.run_explained db root ~keep:false in
@@ -100,7 +100,7 @@ let test_q_error_matrix_joins () =
                    (Plan.algo_name algo) q matrix_bound)
                 true (q <= matrix_bound)
           | exception Plan.Unsupported _ -> ())
-        Estimate.all_algos)
+        Enumerate.all_algos)
     [ Generator.Class_clustered; Generator.Randomized; Generator.Composition;
       Generator.Assoc_ordered ]
 
@@ -212,6 +212,35 @@ let test_pick_tie_policy () =
         (a.Planner.ch_packed && not b.Planner.ch_packed)
   | _ -> Alcotest.fail "expected at least two candidates"
 
+let test_partial_pins_honoured () =
+  (* A join with no [force_algo] is chosen by the argmin, but only among
+     candidates that honour the other pins. *)
+  let b = built Generator.Class_clustered in
+  let db = b.Generator.db in
+  let ast =
+    Oql_parser.parse
+      "select [p.name, pa.age] from p in Providers, pa in p.clients where \
+       pa.mrn < 500 and p.upin < 5"
+  in
+  let accesses = function
+    | Plan.Hier_join { parent_access; child_access; _ } ->
+        [ parent_access; child_access ]
+    | Plan.Selection _ -> Alcotest.fail "expected a join"
+  in
+  check_bool "force_seq: every side scans" true
+    (List.for_all
+       (function Plan.Seq_scan _ -> true | Plan.Index_scan _ -> false)
+       (accesses (Planner.plan ~force_seq:true db ast)));
+  let unsorted = accesses (Planner.plan ~force_sorted:false db ast) in
+  check_bool "force_sorted:false: an index side is taken" true
+    (List.exists
+       (function Plan.Index_scan _ -> true | Plan.Seq_scan _ -> false)
+       unsorted);
+  check_bool "force_sorted:false: no index side sorts" true
+    (List.for_all
+       (function Plan.Index_scan { sorted; _ } -> not sorted | Plan.Seq_scan _ -> true)
+       unsorted)
+
 let test_validate_covers_every_operator () =
   let b = built Generator.Class_clustered in
   let db = b.Generator.db in
@@ -237,6 +266,8 @@ let suite =
     Alcotest.test_case "fig6 crossover from statistics" `Quick
       test_fig6_crossover_from_stats;
     Alcotest.test_case "pick: tie policy" `Quick test_pick_tie_policy;
+    Alcotest.test_case "plan: partial pins honoured" `Quick
+      test_partial_pins_honoured;
     Alcotest.test_case "validate covers every operator" `Quick
       test_validate_covers_every_operator;
   ]

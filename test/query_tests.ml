@@ -1,5 +1,5 @@
-(* Tests for the OQL front end, the executor's five operators and the two
-   planners. *)
+(* Tests for the OQL front end, the executor's operators, pinned planning
+   and the optimizer's per-operator cost model. *)
 
 open Tb_query
 module Value = Tb_store.Value
@@ -220,20 +220,17 @@ let test_identity_projection_skips_handles () =
 let test_bind_errors () =
   let built = small_built () in
   let db = built.Tb_derby.Generator.db in
-  let bad_invalid s =
-    match Plan.bind db (Oql_parser.parse s) with
-    | exception Invalid_argument _ -> true
-    | _ -> false
-  and bad_unsupported s =
+  let rejected s =
     match Plan.bind db (Oql_parser.parse s) with
     | exception Plan.Unsupported _ -> true
     | _ -> false
   in
-  check_bool "unknown extent" true (bad_invalid "select x from x in Nowhere");
+  check_bool "unknown extent" true (rejected "select x from x in Nowhere");
   check_bool "unknown attribute" true
-    (bad_invalid "select x.zzz from x in Patients where x.zzz < 1");
+    (rejected "select x.zzz from x in Patients where x.zzz < 1");
+  check_bool "unknown variable" true (rejected "select y from x in Patients");
   check_bool "var-to-var predicate unsupported" true
-    (bad_unsupported
+    (rejected
        "select [p.name, pa.age] from p in Providers, pa in p.clients where \
         pa.mrn < p.upin")
 
@@ -252,18 +249,40 @@ let test_bind_infers_inverse () =
 
 (* --- planner --- *)
 
+(* The optimizer's per-operator estimate (ms) of a pinned join plan on a
+   built database, never executed. *)
+let est_ms ?organization db algo q =
+  let stats = Tb_statcore.Stat_catalog.analyze db in
+  let root =
+    Planner.lower
+      (Planner.plan ?organization ~force_algo:algo ~force_sorted:true db
+         (Oql_parser.parse q))
+  in
+  Estimate.annotate ~stats ?organization root;
+  Estimate.plan_cost_ms root
+
+let chosen_algo ?organization db q =
+  match (Planner.optimize ?organization db q).Planner.d_plan with
+  | Plan.Hier_join { algo; _ } -> algo
+  | Plan.Selection _ -> Alcotest.fail "expected a join"
+
 let test_heuristic_planner_is_navigation_biased () =
+  (* O2's heuristic, a pinned configuration: navigation, with the parent
+     index taken in index order. *)
   let built = small_built () in
   let db = built.Tb_derby.Generator.db in
-  match Planner.plan ~mode:Planner.Heuristic db (Oql_parser.parse (paper_query 50 10)) with
-  | Plan.Hier_join { algo = Plan.NL; _ } -> ()
-  | p -> Alcotest.fail (Format.asprintf "expected NL, got %a" Plan.pp p)
+  match Planner.plan_o2 db (Oql_parser.parse (paper_query 50 10)) with
+  | Plan.Hier_join
+      { algo = Plan.NL; parent_access = Plan.Index_scan { sorted = false; _ }; _ }
+    ->
+      ()
+  | p -> Alcotest.failf "expected NL over an unsorted index, got %a" Plan.pp p
 
 let test_heuristic_selection_takes_index_unsorted () =
   let built = small_built () in
   let db = built.Tb_derby.Generator.db in
   match
-    Planner.plan ~mode:Planner.Heuristic db
+    Planner.plan_o2 db
       (Oql_parser.parse "select pa.age from pa in Patients where pa.num < 10")
   with
   | Plan.Selection { access = Plan.Index_scan { sorted = false; _ }; _ } -> ()
@@ -271,120 +290,70 @@ let test_heuristic_selection_takes_index_unsorted () =
 
 let test_cost_based_selection_sorts () =
   (* A random key (num), a file well beyond the client cache, moderate
-     selectivity: fetching in index order would thrash, so the cost-based
-     planner must sort the Rids first (Section 4.2's lesson). *)
+     selectivity: fetching in index order would thrash, so the optimizer
+     must sort the Rids first (Section 4.2's lesson) — and an unpinned
+     [plan] is that choice. *)
   let built = small_built ~n_providers:400 ~fanout:3 () in
   let db = built.Tb_derby.Generator.db in
-  match
-    Planner.plan ~mode:Planner.Cost_based db
-      (Oql_parser.parse "select pa.age from pa in Patients where pa.num < 480")
-  with
+  let q = "select pa.age from pa in Patients where pa.num < 480" in
+  (match (Planner.optimize db q).Planner.d_plan with
   | Plan.Selection { access = Plan.Index_scan { sorted = true; _ }; _ } -> ()
-  | p -> Alcotest.fail (Format.asprintf "unexpected plan %a" Plan.pp p)
+  | p -> Alcotest.failf "optimizer: unexpected plan %a" Plan.pp p);
+  match Planner.plan db (Oql_parser.parse q) with
+  | Plan.Selection { access = Plan.Index_scan { sorted = true; _ }; _ } -> ()
+  | p -> Alcotest.failf "unpinned plan: unexpected plan %a" Plan.pp p
 
 let test_cost_based_join_prefers_navigation_under_composition () =
-  (* Figure 13's regime at paper scale: 2,000 providers and 2M patients in
-     one composition-clustered file; NL wins every cell. *)
-  let built = small_built ~organization:Tb_derby.Generator.Composition () in
+  (* Figure 13's regime: providers and their patients clustered together
+     in one composition file; navigation wins. *)
+  let cfg =
+    Tb_derby.Generator.config ~scale:200 `Wide Tb_derby.Generator.Composition
+  in
+  let built = Tb_derby.Generator.build ~cost:(Tb_sim.Cost_model.scaled 200) cfg in
   let db = built.Tb_derby.Generator.db in
-  let bound = Plan.bind db (Oql_parser.parse (paper_query 1000 1000)) in
-  let env =
-    Planner.join_env db bound ~organization:Estimate.Shared_composition
-  in
-  let env =
-    {
-      env with
-      Estimate.cost = Tb_sim.Cost_model.default;
-      Estimate.parent =
-        {
-          env.Estimate.parent with
-          Estimate.card = 2_000;
-          pages = 44_000;
-          sel = 0.1;
-          index_clustered = true;
-        };
-      child =
-        {
-          env.Estimate.child with
-          Estimate.card = 2_000_000;
-          pages = 44_000;
-          sel = 0.1;
-          (* mrn order no longer matches composition placement *)
-          index_clustered = false;
-        };
-      fanout = 1_000.0;
-      client_cache_pages = 8_192;
-    }
-  in
-  match Estimate.rank_joins env with
-  | (Plan.NL, _) :: _ -> ()
-  | (a, _) :: _ ->
-      Alcotest.fail (Printf.sprintf "expected NL to win, got %s" (Plan.algo_name a))
-  | [] -> Alcotest.fail "no ranking"
+  let organization = Tb_derby.Generator.estimate_organization cfg in
+  let nc = Array.length built.Tb_derby.Generator.patients in
+  let np = Array.length built.Tb_derby.Generator.providers in
+  let q = paper_query (nc / 10) (np / 10) in
+  match chosen_algo ~organization db q with
+  | Plan.NL -> ()
+  | a -> Alcotest.failf "expected NL to win, got %s" (Plan.algo_name a)
+
+(* A 1:3 class-clustered database whose hash tables outgrow the scaled RAM
+   at high selectivities; costing never executes, so the tests share it. *)
+let deep_db = lazy (small_built ~n_providers:3000 ~fanout:3 ~scale:800 ())
 
 let test_cost_based_join_prefers_hash_on_deep_class_clusters () =
   (* 1:3 shape, class clustering, low selectivities: Figure 12 says the
      hash joins win by an order of magnitude over navigation. *)
-  let built = small_built () in
+  let built = Lazy.force deep_db in
   let db = built.Tb_derby.Generator.db in
-  let bound = Plan.bind db (Oql_parser.parse (paper_query 10 3)) in
-  let env = Planner.join_env db bound ~organization:Estimate.Separate_files in
-  (* Force paper-scale statistics: 1M providers, 3M patients, 10%/10%. *)
-  let env =
-    {
-      env with
-      Estimate.cost = Tb_sim.Cost_model.default;
-      Estimate.parent =
-        { env.Estimate.parent with Estimate.card = 1_000_000; pages = 33_000; sel = 0.1 };
-      child =
-        { env.Estimate.child with Estimate.card = 3_000_000; pages = 49_000; sel = 0.1 };
-      fanout = 3.0;
-      client_cache_pages = 8_192;
-    }
-  in
-  match Estimate.rank_joins env with
-  | (Plan.PHJ, _) :: _ | (Plan.CHJ, _) :: _ -> ()
-  | (a, _) :: _ ->
-      Alcotest.fail (Printf.sprintf "expected a hash join to win, got %s" (Plan.algo_name a))
-  | [] -> Alcotest.fail "no ranking"
+  let nc = Array.length built.Tb_derby.Generator.patients in
+  let np = Array.length built.Tb_derby.Generator.providers in
+  let q = paper_query (nc / 10) (np / 10) in
+  match chosen_algo db q with
+  | Plan.PHJ | Plan.CHJ -> ()
+  | a -> Alcotest.failf "expected a hash join to win, got %s" (Plan.algo_name a)
 
-let test_estimate_swap_degrades_hash () =
-  (* Figure 12's 90/90 cell: hash tables outgrow memory and navigation
-     takes over. *)
-  let cost = Tb_sim.Cost_model.default in
-  let side card pages =
-    {
-      Estimate.card;
-      pages;
-      sel = 0.9;
-      has_index = true;
-      index_clustered = true;
-      payload_bytes = 29;
-    }
-  in
-  let env =
-    {
-      Estimate.cost;
-      organization = Estimate.Separate_files;
-      client_cache_pages = 8_192;
-      parent = side 1_000_000 33_000;
-      child = side 3_000_000 49_000;
-      fanout = 3.0;
-      result_bytes_per_row = 40;
-    }
-  in
-  let nojoin = Estimate.join_ms env Plan.NOJOIN in
-  let phj = Estimate.join_ms env Plan.PHJ in
-  let chj = Estimate.join_ms env Plan.CHJ in
-  check_bool "NOJOIN beats PHJ when the table swaps" true (nojoin < phj);
-  check_bool "NOJOIN beats CHJ when the table swaps" true (nojoin < chj)
-
-(* --- extensions: hybrid hashing, sort-merge --- *)
-
+(* Figure 12's memory-bound 90/90 cell. *)
 let deep_90_90 b =
   let nc = Array.length b.Tb_derby.Generator.patients in
   let np = Array.length b.Tb_derby.Generator.providers in
   paper_query (90 * nc / 100) (90 * np / 100)
+
+let test_estimate_swap_degrades_hash () =
+  (* Figure 12's 90/90 cell: hash tables outgrow memory and navigation
+     takes over. *)
+  let built = Lazy.force deep_db in
+  let db = built.Tb_derby.Generator.db in
+  let q = deep_90_90 built in
+  let nojoin = est_ms db Plan.NOJOIN q in
+  let phj = est_ms db Plan.PHJ q in
+  let chj = est_ms db Plan.CHJ q in
+  check_bool "NOJOIN beats PHJ when the table swaps" true (nojoin < phj);
+  check_bool "NOJOIN beats CHJ when the table swaps" true (nojoin < chj)
+
+(* --- extensions: hybrid hashing, sort-merge --- *)
 
 let test_hybrid_avoids_swap () =
   (* At the memory-bound Figure 12 cell, the hybrid variants must not
@@ -449,39 +418,14 @@ let test_smj_loses_in_memory () =
   check_bool "SMJ not faster than PHJ" true (time Plan.SMJ >= time Plan.PHJ)
 
 let test_planner_considers_hybrids_under_pressure () =
-  (* With paper-scale statistics and the deep 90/90 regime, the cost-based
-     ranking must place the spilling variants above the thrashing in-memory
-     hash joins. *)
-  let cost = Tb_sim.Cost_model.default in
-  let side card pages =
-    {
-      Estimate.card;
-      pages;
-      sel = 0.9;
-      has_index = true;
-      index_clustered = true;
-      payload_bytes = 29;
-    }
-  in
-  let env =
-    {
-      Estimate.cost;
-      organization = Estimate.Separate_files;
-      client_cache_pages = 8_192;
-      parent = side 1_000_000 33_000;
-      child = side 3_000_000 49_000;
-      fanout = 3.0;
-      result_bytes_per_row = 40;
-    }
-  in
-  let ranking = Estimate.rank_joins env in
-  let pos a =
-    match List.find_index (fun (x, _) -> x = a) ranking with
-    | Some i -> i
-    | None -> Alcotest.fail "algorithm missing from ranking"
-  in
-  check_bool "CHHJ ranked above CHJ" true (pos Plan.CHHJ < pos Plan.CHJ);
-  check_bool "PHHJ ranked above PHJ" true (pos Plan.PHHJ < pos Plan.PHJ)
+  (* In the deep 90/90 regime the optimizer's model must rank the spilling
+     variants above the thrashing in-memory hash joins. *)
+  let built = Lazy.force deep_db in
+  let db = built.Tb_derby.Generator.db in
+  let q = deep_90_90 built in
+  let est a = est_ms db a q in
+  check_bool "CHHJ ranked above CHJ" true (est Plan.CHHJ < est Plan.CHJ);
+  check_bool "PHHJ ranked above PHJ" true (est Plan.PHHJ < est Plan.PHJ)
 
 (* --- aggregates --- *)
 
